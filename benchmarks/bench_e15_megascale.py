@@ -1,32 +1,24 @@
-"""E15 — Megascale: calendar-queue scheduler + fluid aggregated workloads.
+"""E15 — Megascale: fluid aggregated workloads at 10⁶+ clients per site.
 
 The paper's infrastructure served a national lab's full user population
 through shared portals; this bench pushes the reproduction's substrate to
 the population scales that implies — 10⁶+ modeled clients per site — and
-proves the two mechanisms that make it affordable:
-
-* the **fluid workload path** (``repro.workloads.aggregate``): a
-  million-client site costs O(pulses) kernel events, not O(clients), so
-  the declared scenario below models ≥10⁶ clients/site end to end in a
-  few thousand events;
-* the **calendar-queue scheduler** (``Simulator(scheduler="calendar")``):
-  on storm-class shapes with millions of timers pending, the calendar
-  backend sustains an integer-factor dispatch-rate gain over the binary
-  heap (≈6× draining 4M pending on the reference machine; see
-  BENCH_e15_megascale.json) while staying **byte-identical** — every
-  scenario here runs on both backends and fails on any fingerprint
-  divergence.
+proves the mechanism that makes it affordable: the **fluid workload
+path** (``repro.workloads.aggregate``).  A million-client site costs
+O(pulses) kernel events, not O(clients), so the declared scenario below
+models ≥10⁶ clients/site end to end in a few thousand events and never
+holds more than a few dozen events pending.
 
 Two harnesses share this file:
 
-* pytest tests (collected with tier-1) asserting backend equivalence at
+* a pytest test (collected with tier-1) asserting the event economy at
   smoke scale;
 * a standalone harness writing ``BENCH_e15_megascale.json``:
   ``python benchmarks/bench_e15_megascale.py [--quick]
-  [--baseline BENCH.json --max-regression 0.30] [--min-speedup R]``.
+  [--baseline BENCH.json --max-regression 0.30]``.
   CI perf-smoke runs ``--quick`` against the merge-base measured on the
-  same runner and fails on >30% events/s regression on either backend or
-  any cross-backend fingerprint divergence.
+  same runner and fails on a >30% events/s regression or on fingerprints
+  that differ between repeats.
 """
 
 from __future__ import annotations
@@ -44,9 +36,6 @@ except ImportError:  # pragma: no cover - script-mode path shim
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.plan import ScenarioSpec, SiteSpec, WorkloadSpec, run_scenario
-from repro.sim import Simulator
-
-BACKENDS = ("heap", "calendar")
 
 #: Modeled population per site — the headline number.  Constant across
 #: quick/full because a fluid client is free; only the horizon scales.
@@ -72,10 +61,10 @@ def megascale_spec(horizon_s: float) -> ScenarioSpec:
         ]})
 
 
-def run_fluid(horizon_s: float, scheduler: str) -> dict:
-    gc.collect()  # level the allocator between interleaved backends
+def run_fluid(horizon_s: float) -> dict:
+    gc.collect()  # level the allocator between repeats
     t0 = time.perf_counter()
-    result = run_scenario(megascale_spec(horizon_s), scheduler=scheduler)
+    result = run_scenario(megascale_spec(horizon_s))
     wall = time.perf_counter() - t0
     return {
         "events": result.events,
@@ -87,80 +76,10 @@ def run_fluid(horizon_s: float, scheduler: str) -> dict:
     }
 
 
-def run_storm(pending: int, rearms: int, scheduler: str) -> dict:
-    """The storm-class shape where backend choice matters: ``pending``
-    timers armed at once, plus a flat budget of ``pending * rearms``
-    re-arms flowing through as they fire.  One shared callback and no
-    per-timer state keeps the measured delta the scheduler's push/pop
-    cost rather than closure dispatch — at 10⁶+ pending the heap's
-    pops walk log(n) cache-missing levels while the calendar pops off
-    the tail of one sorted hot bucket.
-
-    Arming and draining are timed separately: ``events_per_sec`` is the
-    drain-side dispatch rate (the throughput the kernel sustains while
-    the storm fires), with the one-time arming cost on record as
-    ``arm_wall_s``."""
-    sim = Simulator(scheduler=scheduler)
-    budget = [pending * rearms]
-
-    def on_fire():
-        b = budget[0]
-        if b > 0:
-            budget[0] = b - 1
-            sim.call_in(120.0 + (b % 977) * 0.0131, on_fire)
-
-    t0 = time.perf_counter()
-    for i in range(pending):
-        sim.call_in((i % 1009) * 0.1 + (i % 97) * 0.0013, on_fire)
-    arm_wall = time.perf_counter() - t0
-    gc.collect()  # level the allocator between interleaved backends
-    t1 = time.perf_counter()
-    sim.run()
-    wall = time.perf_counter() - t1
-    return {
-        "events": sim.events_processed,
-        "arm_wall_s": round(arm_wall, 6),
-        "wall_s": round(wall, 6),
-        "events_per_sec": round(sim.events_processed / wall, 1),
-        "final_now": sim.now,
-    }
-
-
 def run_harness(quick: bool, repeats: int) -> dict:
     horizon = 300.0 if quick else 1200.0
-    pending = 1_000_000 if quick else 4_000_000
-    rearms = 0
-
-    fluid: dict[str, dict] = {}
-    for backend in BACKENDS:
-        best = None
-        for _ in range(max(1, repeats)):
-            r = run_fluid(horizon, backend)
-            if best is None or r["events_per_sec"] > best["events_per_sec"]:
-                best = r
-        fluid[backend] = best
-    fingerprints = {b: fluid[b]["fingerprint"] for b in BACKENDS}
-    match = len(set(fingerprints.values())) == 1
-
-    # Backends run back-to-back inside each repeat and the speedup is
-    # the median of per-pair ratios: machine-speed drift across a long
-    # run hits both sides of a pair alike and cancels, where comparing
-    # each backend's best-of-N would pair luck windows that never
-    # coexisted.
-    storm: dict[str, dict] = {}
-    ratios = []
-    for _ in range(max(1, repeats)):
-        pair = {b: run_storm(pending, rearms, b) for b in BACKENDS}
-        if pair["heap"]["events_per_sec"]:
-            ratios.append(pair["calendar"]["events_per_sec"]
-                          / pair["heap"]["events_per_sec"])
-        for backend, r in pair.items():
-            best = storm.get(backend)
-            if best is None or r["events_per_sec"] > best["events_per_sec"]:
-                storm[backend] = r
-    ratios.sort()
-    speedup = ratios[len(ratios) // 2] if ratios else 0.0
-
+    runs = [run_fluid(horizon) for _ in range(max(1, repeats))]
+    best = max(runs, key=lambda r: r["events_per_sec"])
     return {
         "meta": {
             "quick": quick,
@@ -171,73 +90,53 @@ def run_harness(quick: bool, repeats: int) -> dict:
         },
         "megascale_fluid": {
             "horizon_s": horizon,
-            "clients_per_site": CLIENTS_PER_SITE,
-            "backends": fluid,
-            "fingerprint_match": match,
-        },
-        "pending_storm": {
-            "pending": pending,
-            "rearms": rearms,
-            "backends": storm,
-            "calendar_speedup": round(speedup, 3),
-            "speedup_metric": "median of per-pair calendar/heap ratios",
+            **best,
+            "fingerprint_match": len({r["fingerprint"] for r in runs}) == 1,
         },
     }
 
 
 def compare_to_baseline(current: dict, baseline: dict,
                         max_regression: float) -> list[str]:
-    """Per-(scenario, backend) events/s regressions beyond the threshold."""
+    """The fluid scenario's events/s regression beyond the threshold.
+
+    Baselines written while the kernel had a second event-queue backend
+    keep the fluid row under ``backends.heap``; that row is the one
+    compared.  Their calendar and ``pending_storm`` rows have no
+    counterpart any more and are skipped."""
+    cur = current["megascale_fluid"]
+    base = baseline.get("megascale_fluid", {})
+    base = base.get("backends", {}).get("heap", base)
+    base_rate = base.get("events_per_sec")
+    if not base_rate:
+        print("  megascale_fluid: no baseline row, not compared")
+        return []
+    ratio = cur["events_per_sec"] / base_rate
+    marker = ""
     failures = []
-    for scen in ("megascale_fluid", "pending_storm"):
-        base_scen = baseline.get(scen, {}).get("backends", {})
-        for backend, cur in current[scen]["backends"].items():
-            base = base_scen.get(backend)
-            if not base:
-                continue
-            base_rate = base["events_per_sec"]
-            ratio = cur["events_per_sec"] / base_rate if base_rate else 1.0
-            marker = ""
-            if ratio < 1.0 - max_regression:
-                failures.append(f"{scen}[{backend}]")
-                marker = "  <-- REGRESSION"
-            print(f"  {scen}[{backend}]".ljust(34)
-                  + f"{cur['events_per_sec']:>12,.0f} ev/s "
-                  f"(baseline {base_rate:>12,.0f}, x{ratio:.2f}){marker}")
+    if ratio < 1.0 - max_regression:
+        failures.append("megascale_fluid")
+        marker = "  <-- REGRESSION"
+    print("  megascale_fluid".ljust(34)
+          + f"{cur['events_per_sec']:>12,.0f} ev/s "
+          f"(baseline {base_rate:>12,.0f}, x{ratio:.2f}){marker}")
     return failures
 
 
 # ---------------------------------------------------------------------------
-# pytest tests (tier-1): backend equivalence at smoke scale
+# pytest test (tier-1): the event economy at smoke scale
 # ---------------------------------------------------------------------------
 
 
-def test_e15_fluid_fingerprints_identical_across_backends():
+def test_e15_fluid_megascale_event_economy():
     """The declared megascale scenario (shrunk horizon, full population,
-    fault campaign included) produces identical fingerprints on heap and
-    calendar backends."""
-    results = {b: run_scenario(megascale_spec(90.0), scheduler=b)
-               for b in BACKENDS}
-    heap, cal = results["heap"], results["calendar"]
-    assert heap.fingerprint == cal.fingerprint
-    assert heap.events == cal.events
-    assert heap.ok == cal.ok and heap.failed == cal.failed
-    # The fluid path's whole point: a million-plus clients per site in a
-    # kernel-event budget that doesn't mention the population.
-    assert heap.ok > 1_000_000
-    assert heap.events < heap.ok / 50
+    fault campaign included) models a million-plus clients per site in a
+    kernel-event budget that doesn't mention the population."""
+    result = run_scenario(megascale_spec(90.0))
+    assert result.ok > 1_000_000
+    assert result.events < result.ok / 50
     # The site-loss campaign actually bit mid-stream.
-    assert heap.failed > 0
-
-
-def test_e15_storm_identical_across_backends():
-    """Storm-class pop sequences are identical: same event count, same
-    final clock, on a pending set large enough to force several calendar
-    relayouts."""
-    a = run_storm(30_000, 2, "heap")
-    b = run_storm(30_000, 2, "calendar")
-    assert a["events"] == b["events"]
-    assert a["final_now"] == b["final_now"]
+    assert result.failed > 0
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Megascale bench; writes BENCH_e15_megascale.json")
     parser.add_argument("--quick", action="store_true",
-                        help="CI smoke: 1M pending, 300s fluid horizon, "
-                             "repeats=2")
+                        help="CI smoke: 300s fluid horizon, repeats=2")
     parser.add_argument("--repeats", type=int, default=None,
-                        help="runs per scenario per backend, best kept")
+                        help="runs of the scenario, best kept")
     parser.add_argument("--out", default="BENCH_e15_megascale.json",
                         help="output JSON path")
     parser.add_argument("--baseline", default=None,
@@ -262,10 +160,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-regression", type=float, default=0.30,
                         help="fail if events/s drops more than this "
                              "fraction below baseline (default 0.30)")
-    parser.add_argument("--min-speedup", type=float, default=0.0,
-                        help="fail if calendar/heap storm speedup falls "
-                             "below this (default 0.0 = report only; the "
-                             "committed full-scale record documents ~2x)")
     args = parser.parse_args(argv)
     repeats = args.repeats if args.repeats is not None else (
         2 if args.quick else 3)
@@ -275,20 +169,11 @@ def main(argv: list[str] | None = None) -> int:
     report = run_harness(args.quick, repeats)
 
     fluid = report["megascale_fluid"]
-    for backend in BACKENDS:
-        r = fluid["backends"][backend]
-        print(f"  fluid[{backend}]".ljust(22)
-              + f"{r['events_per_sec']:>12,.0f} ev/s  "
-              f"{r['events']:,} events for {r['ops_completed']:,} ops "
-              f"({r['ops_failed']:,} failed)")
-    print(f"  fluid fingerprints match: {fluid['fingerprint_match']}")
-    storm = report["pending_storm"]
-    for backend in BACKENDS:
-        r = storm["backends"][backend]
-        print(f"  storm[{backend}]".ljust(22)
-              + f"{r['events_per_sec']:>12,.0f} ev/s  "
-              f"({r['events']:,} events, {storm['pending']:,} pending)")
-    print(f"  calendar speedup: x{storm['calendar_speedup']:.2f}")
+    print("  megascale_fluid".ljust(22)
+          + f"{fluid['events_per_sec']:>12,.0f} ev/s  "
+          f"{fluid['events']:,} events for {fluid['ops_completed']:,} ops "
+          f"({fluid['ops_failed']:,} failed)")
+    print(f"  fingerprints match across repeats: {fluid['fingerprint_match']}")
 
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
@@ -297,13 +182,7 @@ def main(argv: list[str] | None = None) -> int:
 
     rc = 0
     if not fluid["fingerprint_match"]:
-        prints = {b: fluid["backends"][b]["fingerprint"] for b in BACKENDS}
-        print(f"FAIL: backend fingerprints diverged: {prints}")
-        rc = 1
-    if args.min_speedup > 0.0 and \
-            storm["calendar_speedup"] < args.min_speedup:
-        print(f"FAIL: calendar speedup x{storm['calendar_speedup']:.2f} "
-              f"below the x{args.min_speedup:.2f} floor")
+        print("FAIL: fingerprints diverged between repeats")
         rc = 1
     if args.baseline:
         with open(args.baseline) as fh:
@@ -316,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"in: {', '.join(failures)}")
             rc = 1
         elif rc == 0:
-            print("OK: no backend regressed beyond the threshold")
+            print("OK: events/sec within the threshold")
     return rc
 
 

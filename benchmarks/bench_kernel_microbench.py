@@ -228,31 +228,14 @@ def _farm_feed(scale: float) -> int:
     return sim.events_processed
 
 
-def _calendar_storm(scale: float, scheduler: str = "heap") -> int:
-    """A timer storm holding ~scale×4M timers pending at once — the
-    megascale shape where event-queue backend choice matters.  One
-    shared callback and no per-timer state so the measured delta is
-    scheduler push/pop cost, not closure dispatch.  Runs once per
-    backend (``calendar_storm[heap]`` / ``[calendar]``) so
-    BENCH_kernel.json records both sides of the crossover."""
-    sim = Simulator(scheduler=scheduler)
-    n = int(4_000_000 * scale)
-    noop = lambda: None  # noqa: E731 - the cheapest dispatchable target
-
-    for i in range(n):
-        sim.call_in((i % 1009) * 0.1 + (i % 97) * 0.0013, noop)
-    sim.run()
-    return sim.events_processed
-
-
-def _megascale_feed(scale: float, scheduler: str = "heap") -> int:
+def _megascale_feed(scale: float) -> int:
     """A fluid megascale site: ~scale×4M clients aggregated into rate
     flows against one aggregate-storage site.  The point on record is
     the event *economy* — kernel events stay O(pulses), not O(clients)."""
     from repro.geo.site import Site
     from repro.workloads.aggregate import FluidStream
 
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     site = Site(sim, "mega", (0.0, 0.0))
     clients = max(1, int(4_000_000 * scale))
     stream = FluidStream(
@@ -272,10 +255,7 @@ SCENARIOS = {
     "resource_contention": _resource_contention,
     "cache_ops": _cache_ops,
     "farm_feed": _farm_feed,
-    "calendar_storm[heap]": lambda s: _calendar_storm(s, "heap"),
-    "calendar_storm[calendar]": lambda s: _calendar_storm(s, "calendar"),
-    "megascale_feed[heap]": lambda s: _megascale_feed(s, "heap"),
-    "megascale_feed[calendar]": lambda s: _megascale_feed(s, "calendar"),
+    "megascale_feed": _megascale_feed,
 }
 
 
@@ -420,11 +400,17 @@ def run_harness(scale: float = 1.0, repeats: int = 3) -> dict:
 
 def compare_to_baseline(current: dict, baseline: dict,
                         max_regression: float) -> list[str]:
-    """Events/sec regressions beyond ``max_regression`` (0.30 = -30%)."""
+    """Events/sec regressions beyond ``max_regression`` (0.30 = -30%).
+
+    Only scenarios present on both sides are compared, so baseline rows
+    with no current counterpart (the ``calendar_storm[*]`` and
+    ``megascale_feed[calendar]`` rows of baselines written while the
+    kernel had a second event-queue backend) are skipped.  Those
+    baselines name the megascale heap row ``megascale_feed[heap]``."""
     failures = []
     base_scen = baseline.get("scenarios", baseline)
     for name, cur in current["scenarios"].items():
-        base = base_scen.get(name)
+        base = base_scen.get(name) or base_scen.get(f"{name}[heap]")
         if not base:
             continue
         base_rate = base["events_per_sec"]

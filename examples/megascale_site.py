@@ -16,8 +16,9 @@ end from one declared scenario:
   3. a site disaster striking mid-run — the open-loop population keeps
      offering load, ops fail during the outage, and the stream recovers
      when the site does;
-  4. the calendar-queue scheduler backend, byte-identical to the heap
-     (the run prints both fingerprints to prove it);
+  4. the kernel self-profile: the event queue a 2.5-million-client run
+     leaves pending stays tiny, because the population lives in rate
+     flows, not in timers;
   5. the telemetry dashboard over the whole thing.
 
 Everything is simulated time from one seed: the fingerprint is
@@ -65,10 +66,7 @@ plan = plan_storage(spec)
 print(plan.describe())
 print()
 
-# The calendar-queue backend is built for pending sets this workload
-# shape produces at scale; the heap run below proves byte-identity.
-sim = Simulator(scheduler="calendar")
-built = plan.build(sim)
+built = plan.build(Simulator())
 result = built.run()
 
 print(f"=== {spec.name}: {2 * CLIENTS_PER_SITE:,} modeled clients, "
@@ -87,15 +85,11 @@ for stream in built.streams:
           f"({s['transfers_failed']} failed in the outage)")
 print()
 
-print("=== telemetry dashboard ===")
-print(built.obs.format_dashboard(max_series=20, profiler_top=5))
+depth = built.profiler.depth_stats()
+print(f"peak pending events     : {depth['max']:.0f} "
+      f"(mean {depth['avg']:.1f} over {depth['samples']:.0f} samples)")
+print(f"fingerprint             : {result.fingerprint}")
 print()
 
-# Same spec, heap backend: the scheduler is performance plumbing only.
-heap_result = plan_storage(spec).build(Simulator(scheduler="heap")).run()
-print("=== backend byte-identity ===")
-print(f"calendar fingerprint : {result.fingerprint}")
-print(f"heap fingerprint     : {heap_result.fingerprint}")
-assert result.fingerprint == heap_result.fingerprint
-print("identical — the calendar queue changed the wall clock, "
-      "not the simulation.")
+print("=== telemetry dashboard ===")
+print(built.obs.format_dashboard(max_series=20, profiler_top=5))

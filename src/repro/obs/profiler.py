@@ -1,9 +1,8 @@
 """Kernel self-profiler: what the event loop actually spends itself on.
 
-The megascale-scheduler work on the roadmap needs to be judged with a
-measurement tool, not a hunch: *which* event types dominate the heap,
-*which* callbacks fire most, and where the interpreter's wall-clock time
-goes.  This module is that tool — a profiler for the simulation kernel
+Kernel performance work needs to be judged with a measurement tool, not
+a hunch: *which* event types dominate the heap, *which* callbacks fire
+most, and where the interpreter's wall-clock time goes.  This module is that tool — a profiler for the simulation kernel
 itself, attached via :meth:`Simulator.attach_profiler`.
 
 Three signals, each chosen to stay cheap enough to leave on:
@@ -21,9 +20,10 @@ Three signals, each chosen to stay cheap enough to leave on:
 
 Wall-clock numbers are real time and therefore *not* deterministic; the
 counts and queue-depth samples are driven purely by the deterministic
-event stream.  Attaching a profiler never changes simulation semantics —
-the kernel only swaps its inlined drain loop for the equivalent
-``step()`` loop, and the profiler is a pure observer.
+event stream.  Attaching a profiler never changes simulation semantics:
+the kernel's one dispatch loop calls :meth:`KernelProfiler.observe`
+behind a single ``is not None`` test, and the profiler is a pure
+observer.
 """
 
 from __future__ import annotations

@@ -215,16 +215,10 @@ class MatrixSpec:
 # -- running -------------------------------------------------------------------
 
 
-def run_scenario(spec: ScenarioSpec,
-                 scheduler: str = "heap") -> ScenarioResult:
-    """Compile, build, provision, and run one scenario on a fresh kernel.
-
-    ``scheduler`` picks the kernel's event-queue backend — an execution
-    detail deliberately *outside* the spec, because backends must yield
-    identical fingerprints (CI runs megascale scenarios on both and
-    fails on divergence)."""
+def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
+    """Compile, build, provision, and run one scenario on a fresh kernel."""
     from ..sim.engine import Simulator
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     with plan_storage(spec).build(sim) as built:
         return built.run()
 

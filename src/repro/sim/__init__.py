@@ -26,7 +26,6 @@ from .replications import (
 )
 from .resources import Container, PriorityResource, Request, Resource, Store
 from .rng import RngStreams, stable_hash
-from .scheduler import SCHEDULER_BACKENDS, CalendarScheduler, HeapScheduler
 from .stats import Counter, Histogram, MetricSet, RateMeter, Tally, TimeWeighted
 
 __all__ = [
@@ -52,9 +51,6 @@ __all__ = [
     "Request",
     "Resource",
     "RngStreams",
-    "SCHEDULER_BACKENDS",
-    "CalendarScheduler",
-    "HeapScheduler",
     "SimulationError",
     "Simulator",
     "Store",

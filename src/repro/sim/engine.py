@@ -7,8 +7,15 @@ number that breaks time ties in FIFO order.
 
 Hot-path notes (see docs/performance.md):
 
-* Heap entries are plain ``(time, seq, event, callback)`` tuples; ``seq`` is
-  unique so the event/callback fields are never compared.
+* The event queue is a plain list kept in heap order through the C
+  ``heappush``/``heappop``.  Entries are ``(time, seq, event, callback)``
+  tuples; ``seq`` is unique so the event/callback fields are never compared.
+* Every way of advancing time — :meth:`Simulator.run` with no bound, a time
+  bound or an event bound, and :meth:`Simulator.step` — goes through one
+  inlined dispatch loop (:meth:`Simulator._dispatch`) that keeps the queue,
+  the Timeout pool and the event counter in locals.  An attached
+  :class:`~repro.obs.profiler.KernelProfiler` is consulted from the same loop
+  behind one local ``is not None`` test.
 * ``event is None`` entries are the *deferred-call* fast path
   (:meth:`Simulator.call_in` / :meth:`Simulator.call_at`): the callback runs
   with no arguments and no Event object is ever allocated.  Simple
@@ -32,7 +39,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process, ProcessGen
-from .scheduler import SCHEDULER_BACKENDS, CalendarScheduler, HeapScheduler
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs import Observability
@@ -41,6 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Upper bound on pooled Timeout objects kept for reuse; beyond this the
 #: kernel lets fired timeouts go to the garbage collector.
 _POOL_MAX = 4096
+
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -60,27 +68,13 @@ class Simulator:
     3.0
     """
 
-    def __init__(self, pooling: bool = True, scheduler: str = "heap") -> None:
+    def __init__(self, pooling: bool = True) -> None:
         self.now: float = 0.0
-        # Backend selection is asserted exactly once, here.  The queue and
-        # the inlined drain loops are specialized to the chosen backend, so
-        # switching after construction is kernel misuse (see the
-        # ``scheduler`` property).
-        try:
-            backend = SCHEDULER_BACKENDS[scheduler]
-        except KeyError:
-            raise SimulationError(
-                f"unknown scheduler backend {scheduler!r}; choose one of "
-                f"{sorted(SCHEDULER_BACKENDS)}") from None
-        self._scheduler_kind = scheduler
-        self._queue = backend()
+        self._queue: list[tuple] = []
         #: The single push entry point every event source goes through
-        #: (``events.py``/``process.py`` included).  For the heap backend
-        #: this is the C ``heappush`` partially applied to the queue — the
-        #: same machine path as the pre-backend kernel.
-        self._push: Callable[[tuple], None] = (
-            partial(heappush, self._queue)
-            if backend is HeapScheduler else self._queue.push)
+        #: (``events.py``/``process.py`` included): the C ``heappush``
+        #: partially applied to the queue.
+        self._push: Callable[[tuple], None] = partial(heappush, self._queue)
         self._seq = count()
         self._active = True
         self.events_processed: int = 0
@@ -93,31 +87,9 @@ class Simulator:
         #: operation, so ``None`` (the default) disables the whole layer at
         #: the cost of one attribute test.  Attach via ``repro.obs.enable``.
         self.obs: "Observability | None" = None
-        #: Kernel self-profiler hook (see :mod:`repro.obs.profiler`).
-        #: ``None`` keeps the inlined drain loop untouched; attach via
-        #: :meth:`attach_profiler`.
+        #: Kernel self-profiler hook (see :mod:`repro.obs.profiler`), read
+        #: once per dispatch-loop entry; attach via :meth:`attach_profiler`.
         self.profiler: "KernelProfiler | None" = None
-
-    # -- scheduler backend ----------------------------------------------------
-
-    @property
-    def scheduler(self) -> str:
-        """The event-queue backend name (``"heap"`` or ``"calendar"``)."""
-        return self._scheduler_kind
-
-    @scheduler.setter
-    def scheduler(self, value: Any) -> None:
-        raise SimulationError(
-            "scheduler backend is fixed at construction; build a new "
-            "Simulator(scheduler=...) instead of switching mid-run")
-
-    def _check_backend(self) -> None:
-        if self._queue.kind != self._scheduler_kind:
-            raise SimulationError(
-                f"event queue backend {self._queue.kind!r} does not match "
-                f"the scheduler selected at construction "
-                f"({self._scheduler_kind!r}); the backend cannot be "
-                "switched mid-run — build a new Simulator(scheduler=...)")
 
     # -- scheduling (kernel internal) ----------------------------------------
 
@@ -147,10 +119,6 @@ class Simulator:
             raise SimulationError(
                 f"call_at({when}) is in the past (now={self.now})")
         self._push((when, next(self._seq), None, fn))
-
-    #: Alias kept so model code reads naturally at call sites that think in
-    #: terms of "schedule this callback", not "call later".
-    schedule_callback = call_in
 
     # -- public factory helpers ----------------------------------------------
 
@@ -205,42 +173,14 @@ class Simulator:
 
         Raises :class:`SimulationError` when no events are queued.
         """
-        q = self._queue
-        if not q:
+        if not self._queue:
             raise SimulationError("no events queued")
-        if q.kind != self._scheduler_kind:
-            self._check_backend()
-        when, _seq, event, callback = q.pop_min()
-        self.now = when
-        self.events_processed += 1
-        if self.profiler is not None:
-            self.profiler.observe(event, callback, len(q))
-        if event is None:
-            callback()  # deferred-call fast path
-            return
-        if callback is not None:
-            # Direct delivery (interrupts, process start): bypass the
-            # event's own callbacks.
-            callback(event)
-            return
-        if event._processed:
-            return
-        event._processed = True
-        callbacks = event.callbacks
-        event.callbacks = None
-        if callbacks:
-            for fn in callbacks:
-                fn(event)
-        if self.pooling and type(event) is Timeout:
-            free = self._free_timeouts
-            if len(free) < _POOL_MAX:
-                callbacks.clear()
-                event.callbacks = callbacks
-                free.append(event)
+        self._dispatch(-_INF)
 
     def peek(self) -> float:
         """Time of the next event, or ``float('inf')`` if none are queued."""
-        return self._queue.peek_time()
+        q = self._queue
+        return q[0][0] if q else _INF
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
@@ -250,17 +190,18 @@ class Simulator:
         * ``until=<Event>`` — run until the event is processed; returns its
           value (raising if it failed).
         """
-        self._check_backend()
+        q = self._queue
         if until is None:
-            self._run_all()
+            if q:
+                self._dispatch(_INF)
             return None
         if isinstance(until, Event):
             stop = until
-            while not stop._processed:
-                if not self._queue:
-                    raise SimulationError(
-                        "simulation ran out of events before `until` fired")
-                self.step()
+            if not stop._processed and q:
+                self._dispatch(_INF, stop)
+            if not stop._processed:
+                raise SimulationError(
+                    "simulation ran out of events before `until` fired")
             if not stop.ok:
                 raise stop.value
             return stop.value
@@ -268,109 +209,58 @@ class Simulator:
         if horizon < self.now:
             raise SimulationError(
                 f"run(until={horizon}) is in the past (now={self.now})")
-        q = self._queue
-        if type(q) is HeapScheduler:
-            while q and q[0][0] <= horizon:
-                self.step()
-        else:
-            while q and q.peek_time() <= horizon:
-                self.step()
+        if q and q[0][0] <= horizon:
+            self._dispatch(horizon)
         self.now = horizon
         return None
 
-    def _run_all(self) -> None:
-        """Drain the queue with :meth:`step`'s body inlined.
+    def _dispatch(self, horizon: float, stop: Event | None = None) -> None:
+        """The kernel's one dispatch loop.
 
-        The per-event interpreter overhead of the method call and repeated
-        attribute loads is the single largest cost in timeout-heavy runs, so
-        the unbounded loop keeps everything in locals and flushes the event
-        counter once at the end.  With a profiler attached the slower
-        :meth:`step` loop runs instead, keeping the fast path free of any
-        per-event profiling branch.
+        Pops and dispatches events until the queue is empty, the next event
+        lies beyond ``horizon``, or ``stop`` has been processed.  The exit
+        test runs *after* each dispatch, so the caller guarantees the first
+        event is due; :meth:`step` is this loop with a horizon of −∞.
+
+        The per-event interpreter overhead of method calls and repeated
+        attribute loads is the single largest cost in timeout-heavy runs,
+        so the queue, the pool, the profiler and the event counter live in
+        locals and the counter is flushed once on exit (exceptions
+        included).
         """
-        if self.profiler is not None:
-            q = self._queue
-            while q:
-                self.step()
-            return
         q = self._queue
-        if type(q) is HeapScheduler:
-            self._run_all_heap(q)
-        else:
-            self._run_all_calendar(q)
-
-    def _run_all_heap(self, q: HeapScheduler) -> None:
-        # The heap IS a list: pop straight through the C heapq function,
-        # exactly the pre-backend fast path.
         pop = heappop
         free = self._free_timeouts
         pooling = self.pooling
+        profiler = self.profiler
         processed = 0
         try:
-            while q:
+            while True:
                 when, _seq, event, callback = pop(q)
                 self.now = when
                 processed += 1
+                if profiler is not None:
+                    profiler.observe(event, callback, len(q))
                 if event is None:
-                    callback()
-                    continue
-                if callback is not None:
+                    callback()  # deferred-call fast path
+                elif callback is not None:
+                    # Direct delivery (interrupts, process start): bypass
+                    # the event's own callbacks.
                     callback(event)
-                    continue
-                if event._processed:
-                    continue
-                event._processed = True
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    for fn in callbacks:
-                        fn(event)
-                if pooling and type(event) is Timeout \
-                        and len(free) < _POOL_MAX:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    free.append(event)
-        finally:
-            self.events_processed += processed
-
-    def _run_all_calendar(self, q: CalendarScheduler) -> None:
-        # Same inlined body as the heap loop, but popping straight off the
-        # tail of the wheel's current bucket (sorted descending, so the
-        # tail is the minimum).  ``q._cur`` must be re-read every
-        # iteration: any callback can push, and a push may trigger a
-        # relayout that swaps the bucket lists out from under us.
-        rotate = q._rotate
-        free = self._free_timeouts
-        pooling = self.pooling
-        processed = 0
-        try:
-            while q._n:
-                cur = q._cur
-                if not cur:
-                    rotate()
-                    cur = q._cur
-                q._n -= 1
-                when, _seq, event, callback = cur.pop()
-                self.now = when
-                processed += 1
-                if event is None:
-                    callback()
-                    continue
-                if callback is not None:
-                    callback(event)
-                    continue
-                if event._processed:
-                    continue
-                event._processed = True
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    for fn in callbacks:
-                        fn(event)
-                if pooling and type(event) is Timeout \
-                        and len(free) < _POOL_MAX:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    free.append(event)
+                elif not event._processed:
+                    event._processed = True
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    if callbacks:
+                        for fn in callbacks:
+                            fn(event)
+                    if pooling and type(event) is Timeout \
+                            and len(free) < _POOL_MAX:
+                        callbacks.clear()
+                        event.callbacks = callbacks
+                        free.append(event)
+                if not q or q[0][0] > horizon \
+                        or (stop is not None and stop._processed):
+                    return
         finally:
             self.events_processed += processed

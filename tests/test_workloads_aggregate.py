@@ -185,8 +185,7 @@ def test_fluid_workload_spec_round_trips():
 def test_fluid_scenario_deterministic_same_spec_and_seed():
     r1 = run_scenario(_fluid_spec())
     r2 = run_scenario(_fluid_spec())
-    r3 = run_scenario(_fluid_spec(), scheduler="calendar")
-    assert r1.fingerprint == r2.fingerprint == r3.fingerprint
+    assert r1.fingerprint == r2.fingerprint
     assert r1.ok > 400_000  # ~8k ops/s admitted over 60s, minus in-flight
     # A different seed perturbs the demand noise, hence the outcome.
     changed = run_scenario(ScenarioSpec(name="fluid-test", seed=43,
@@ -209,8 +208,8 @@ def test_fluid_site_loss_campaign_mid_stream():
     assert down.failed > 0
     assert down.ok > 0
     assert down.ok < clean.ok
-    # Deterministic under the campaign too, on both backends.
-    again = run_scenario(_fluid_spec(faults=faults), scheduler="calendar")
+    # Deterministic under the campaign too.
+    again = run_scenario(_fluid_spec(faults=faults))
     assert again.fingerprint == down.fingerprint
 
 
