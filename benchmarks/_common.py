@@ -25,8 +25,6 @@ CPU_PER_BYTE = CacheBenchSpec().cpu_per_byte
 CPU_PER_IO = CacheBenchSpec().cpu_per_io
 BLOCK = CacheBenchSpec().block_size
 
-#: Back-compat alias: FarmFeed grew up here and moved into the planner.
-FarmFeed = AggregateFarm
 
 
 def make_blades(sim: Simulator, count: int, cache_bytes: int = mib(16),

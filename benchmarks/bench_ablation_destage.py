@@ -7,9 +7,10 @@ workers let bursts pile up pinned cache; the sweep measures both the
 drain time of a burst and the peak pinned-block count per worker count.
 """
 
-from _common import BLOCK, FarmFeed, make_cache_cluster, run_one
+from _common import BLOCK, make_cache_cluster, run_one
 
 from repro.core import format_table, print_experiment
+from repro.plan import AggregateFarm
 from repro.sim import Simulator
 
 BURST = 192  # dirty blocks written as fast as the cache absorbs
@@ -21,8 +22,9 @@ def test_ablation_destage_concurrency(benchmark):
         for workers in (1, 2, 4, 8):
             sim = Simulator()
             cluster = make_cache_cluster(sim, 4, replication=2,
-                                         farm=FarmFeed(sim, bandwidth=400e6,
-                                                       latency=0.004))
+                                         farm=AggregateFarm(
+                                             sim, bandwidth=400e6,
+                                             latency=0.004))
             cluster.start_destager(concurrency=workers)
             peak = [0]
             finished = [None]

@@ -9,10 +9,11 @@ flush per alternation), while the integrated PFS absorbs the same writes
 in the coherent controller cache at block granularity.
 """
 
-from _common import BLOCK, FarmFeed, make_cache_cluster, run_one
+from _common import BLOCK, make_cache_cluster, run_one
 
 from repro.core import format_table, print_experiment
 from repro.fs import HostSharedFileSystem
+from repro.plan import AggregateFarm
 from repro.sim import Simulator
 
 HOSTS = 4
@@ -47,7 +48,7 @@ def integrated_run(shared: bool) -> float:
     """Same workload through the integrated PFS + coherent cache."""
     sim = Simulator()
     cluster = make_cache_cluster(sim, HOSTS, replication=2,
-                                 farm=FarmFeed(sim))
+                                 farm=AggregateFarm(sim))
     cluster.start_destager()
     latencies = []
 

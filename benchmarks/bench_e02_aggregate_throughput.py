@@ -10,13 +10,13 @@ Reproduces: aggregate GB/s delivered to a 16-client fleet reading one
 shared dataset, vs controller count, NetStorage cluster vs island farm.
 """
 
-from _common import BLOCK, FarmFeed, make_cache_cluster, run_one
+from _common import BLOCK, make_cache_cluster, run_one
 
 from repro.baseline import IslandFarm, StorageIsland
 from repro.cluster import ClusterMembership, LoadBalancer
 from repro.core import format_latency_breakdown, format_table, print_experiment
 from repro.obs import enable as enable_obs
-from repro.plan import CacheBenchSpec, plan_cache_bench
+from repro.plan import AggregateFarm, CacheBenchSpec, plan_cache_bench
 from repro.sim import Simulator
 from repro.sim.units import mib
 from repro.workloads import aggregate_throughput, run_client_fleet
@@ -125,7 +125,7 @@ def test_e02c_observability_breakdown(benchmark):
         sim = Simulator()
         obs = enable_obs(sim)
         cluster = make_cache_cluster(sim, 4, replication=1,
-                                     farm=FarmFeed(sim, bandwidth=1.2e9))
+                                     farm=AggregateFarm(sim, bandwidth=1.2e9))
         cluster.register_health(obs.mgmt)
         membership = ClusterMembership(sim, list(cluster.blades.values()))
         balancer = LoadBalancer(membership)

@@ -10,11 +10,12 @@ hot-data traffic, pooled coherent cache vs statically partitioned caches,
 sweeping the skew.
 """
 
-from _common import BLOCK, FarmFeed, make_blades, make_cache_cluster, run_one
+from _common import BLOCK, make_blades, make_cache_cluster, run_one
 
 from repro.baseline import PartitionedCacheArray
 from repro.cluster import ClusterMembership, LoadBalancer
 from repro.core import format_table, print_experiment
+from repro.plan import AggregateFarm
 from repro.sim import RngStreams, Simulator
 from repro.sim.units import mib
 from repro.workloads import HotspotWorkload, ZipfKeyGenerator
@@ -30,7 +31,7 @@ def pooled_run(skew: float) -> tuple[float, float]:
     sim = Simulator()
     cluster = make_cache_cluster(sim, BLADES, replication=1,
                                  cache_bytes=mib(32),
-                                 farm=FarmFeed(sim, bandwidth=2.4e9))
+                                 farm=AggregateFarm(sim, bandwidth=2.4e9))
     membership = ClusterMembership(sim, list(cluster.blades.values()))
     balancer = LoadBalancer(membership)
 
@@ -53,7 +54,7 @@ def pooled_run(skew: float) -> tuple[float, float]:
 def partitioned_run(skew: float) -> tuple[float, float]:
     sim = Simulator()
     blades = make_blades(sim, BLADES, cache_bytes=mib(32))
-    farm = FarmFeed(sim, bandwidth=2.4e9)
+    farm = AggregateFarm(sim, bandwidth=2.4e9)
     array = PartitionedCacheArray(sim, blades, farm.read, block_size=BLOCK)
     streams = RngStreams(11)
     workload = HotspotWorkload(

@@ -9,11 +9,12 @@ Reproduces: dirty-data loss after k simultaneous controller failures, for
 replication factors N = 1..4, against the dual-controller baseline.
 """
 
-from _common import BLOCK, FarmFeed, make_cache_cluster, run_one
+from _common import BLOCK, make_cache_cluster, run_one
 
 from repro.baseline import DualControllerArray
 from repro.core import format_table, print_experiment
 from repro.integrity import IntegrityManager
+from repro.plan import AggregateFarm
 from repro.sim import Simulator
 
 BLADES = 6
@@ -25,7 +26,7 @@ def nway_loss(replication: int, kills: int) -> int:
     current holder of the block); return lost dirty blocks."""
     sim = Simulator()
     cluster = make_cache_cluster(sim, BLADES, replication=replication,
-                                 farm=FarmFeed(sim))
+                                 farm=AggregateFarm(sim))
 
     def burst():
         for i in range(WRITES):
@@ -77,7 +78,7 @@ def corrupted_read_sweep(poison_every: int = 4):
     """
     sim = Simulator()
     cluster = make_cache_cluster(sim, BLADES, replication=2,
-                                 farm=FarmFeed(sim))
+                                 farm=AggregateFarm(sim))
     cluster.integrity = IntegrityManager(sim)
     stats: dict[str, float] = {}
 

@@ -152,9 +152,9 @@ def slo_campaign(plan: FaultPlan | None = None,
 
 
 def _crash_campaign(seed: int, targets: list[str]) -> FaultPlan:
-    """The 90-day Poisson crash/repair schedule, now a typed FaultPlan
-    (same exponential MTBF/MTTR process the legacy run_lifecycle drew,
-    with JSON provenance and replayability for free)."""
+    """The 90-day Poisson crash/repair schedule as a typed FaultPlan:
+    exponential MTBF/MTTR per blade, with JSON provenance and
+    replayability for free."""
     return FaultPlan.random(seed, HORIZON,
                             {FaultKind.BLADE_CRASH: targets},
                             mtbf=MTBF, mttr=MTTR)
@@ -190,8 +190,7 @@ def pair_availability(seed: int, active_active: bool) -> float:
 def test_e12a_availability_campaign(benchmark):
     def sweep():
         from repro.sim import replicate
-        # Seeds recalibrated for the FaultPlan.random substreams (the
-        # legacy run_lifecycle drew from differently-named streams); the
+        # Seeds chosen for the FaultPlan.random substreams; the
         # set mixes trespass-only runs with dual-controller outages so
         # the pair's lost nine stays visible in the 5-replication mean.
         seeds = (150, 200, 350, 500, 850)

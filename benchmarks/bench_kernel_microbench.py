@@ -211,11 +211,11 @@ def _cache_ops(scale: float) -> int:
 
 
 def _farm_feed(scale: float) -> int:
-    """FarmFeed reads through the deferred-call fast path (no obs)."""
-    from _common import FarmFeed  # resolved via benchmarks/ on sys.path
+    """AggregateFarm reads through the deferred-call fast path (no obs)."""
+    from repro.plan import AggregateFarm
 
     sim = Simulator()
-    feed = FarmFeed(sim, bandwidth=1.2e9, latency=1e-4)
+    feed = AggregateFarm(sim, bandwidth=1.2e9, latency=1e-4)
     n = int(2_000 * scale)
 
     def client(i):

@@ -7,16 +7,17 @@ deterministic: hand-built ones replay exactly, and :meth:`FaultPlan.
 random` derives every draw from named :class:`~repro.sim.rng.RngStreams`
 substreams, so the same seed and rates always produce the same campaign
 regardless of what else the simulation draws.  ``to_json``/``from_json``
-round-trip a plan for checked-in CI fixtures and experiment provenance.
+(the shared :mod:`repro.sim.codec`) round-trip a plan for checked-in CI
+fixtures and experiment provenance.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
+from ..sim.codec import Spec
 from ..sim.rng import RngStreams
 
 
@@ -80,7 +81,7 @@ def parse_partition_target(target: str) -> tuple[tuple[str, ...],
 
 
 @dataclass(frozen=True, order=True)
-class FaultSpec:
+class FaultSpec(Spec):
     """One scheduled fault.
 
     ``at`` is absolute simulated seconds.  ``duration`` > 0 schedules the
@@ -101,35 +102,20 @@ class FaultSpec:
         if self.duration < 0:
             raise ValueError(f"duration must be >= 0, got {self.duration}")
 
-    def as_dict(self) -> dict:
-        return {"at": self.at, "kind": self.kind.value,
-                "target": self.target, "duration": self.duration,
-                "severity": self.severity}
 
-    @classmethod
-    def from_dict(cls, doc: Mapping, context: str = "") -> "FaultSpec":
-        raw_kind = doc["kind"]
-        try:
-            kind = FaultKind(raw_kind)
-        except ValueError:
-            known = ", ".join(k.value for k in FaultKind)
-            where = f" in {context}" if context else ""
-            raise ValueError(
-                f"unknown fault kind {raw_kind!r}{where}; "
-                f"known kinds: {known}") from None
-        return cls(at=float(doc["at"]), kind=kind,
-                   target=str(doc["target"]),
-                   duration=float(doc.get("duration", 0.0)),
-                   severity=float(doc.get("severity", 1.0)))
+@dataclass
+class FaultPlan(Spec):
+    """An ordered, replayable fault campaign.
 
+    ``faults`` takes any iterable of :class:`FaultSpec` and is kept
+    sorted; ``seed`` is provenance only (None for hand-built plans).
+    """
 
-class FaultPlan:
-    """An ordered, replayable fault campaign."""
+    faults: list[FaultSpec] = field(default_factory=list)
+    seed: int | None = None
 
-    def __init__(self, specs: Iterable[FaultSpec] = (),
-                 seed: int | None = None) -> None:
-        self.specs: list[FaultSpec] = sorted(specs)
-        self.seed = seed  # provenance only; None for hand-built plans
+    def __post_init__(self) -> None:
+        self.faults = sorted(self.faults)
 
     # -- construction ----------------------------------------------------------
 
@@ -137,8 +123,8 @@ class FaultPlan:
             duration: float = 0.0, severity: float = 1.0) -> "FaultPlan":
         """Append one fault (keeps the schedule sorted); returns self."""
         spec = FaultSpec(at, FaultKind(kind), target, duration, severity)
-        self.specs.append(spec)
-        self.specs.sort()
+        self.faults.append(spec)
+        self.faults.sort()
         return self
 
     @classmethod
@@ -191,33 +177,16 @@ class FaultPlan:
     # -- queries ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.specs)
+        return len(self.faults)
 
     def __iter__(self) -> Iterator[FaultSpec]:
-        return iter(self.specs)
+        return iter(self.faults)
 
     def by_kind(self, kind: FaultKind | str) -> list[FaultSpec]:
         kind = FaultKind(kind)
-        return [s for s in self.specs if s.kind is kind]
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json(self, indent: int | None = None) -> str:
-        """Deterministic JSON document for fixtures and provenance."""
-        doc = {"seed": self.seed,
-               "faults": [s.as_dict() for s in self.specs]}
-        return json.dumps(doc, sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str, context: str = "fault plan") -> "FaultPlan":
-        """Parse a plan document; ``context`` (e.g. the fixture's file
-        name) is woven into the error for any unknown fault kind."""
-        doc = json.loads(text)
-        specs = [FaultSpec.from_dict(d, context=f"{context} fault #{i}")
-                 for i, d in enumerate(doc.get("faults", []))]
-        return cls(specs, seed=doc.get("seed"))
+        return [s for s in self.faults if s.kind is kind]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kinds = sorted({s.kind.value for s in self.specs})
-        return (f"<FaultPlan {len(self.specs)} faults "
+        kinds = sorted({s.kind.value for s in self.faults})
+        return (f"<FaultPlan {len(self.faults)} faults "
                 f"seed={self.seed} kinds={kinds}>")

@@ -15,8 +15,7 @@ system's raw I/O), so WAN effects stack on honest local costs.
 
 from __future__ import annotations
 
-import warnings
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..core.config import SystemConfig
 from ..core.system import NetStorageSystem
@@ -37,28 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Simulator
 
 
-def _coerce_site_specs(site_specs) -> list[SiteSpec]:
-    """Accept the new SiteSpec sequence, shimming the legacy tuple dict.
-
-    The original API took ``{name: (x_km, y_km)}``; it still works but
-    warns — per-site :class:`~repro.core.config.SystemConfig` overrides
-    only exist on :class:`~repro.plan.spec.SiteSpec`.
-    """
-    if isinstance(site_specs, Mapping):
-        warnings.warn(
-            "MetadataCenter(site_specs={name: (x, y)}) is deprecated; "
-            "pass a sequence of repro.plan.SiteSpec objects instead",
-            DeprecationWarning, stacklevel=3)
-        return [SiteSpec(name, tuple(position))
-                for name, position in site_specs.items()]
-    if isinstance(site_specs, Sequence) \
-            and all(isinstance(s, SiteSpec) for s in site_specs):
-        return list(site_specs)
-    raise TypeError(
-        "site_specs must be a sequence of SiteSpec objects "
-        f"(or the deprecated name->position dict), got {site_specs!r}")
-
-
 class MetadataCenter:
     """One data image spanning several NetStorage deployments.
 
@@ -72,12 +49,16 @@ class MetadataCenter:
     """
 
     def __init__(self, sim: "Simulator",
-                 site_specs: Sequence[SiteSpec] | Mapping[str, tuple],
+                 site_specs: Sequence[SiteSpec],
                  config: SystemConfig | None = None,
                  block_size_wan: int = 1024 * 1024,
                  selection: str = "cost",
                  selection_seed: int = 0) -> None:
-        specs = _coerce_site_specs(site_specs)
+        if not (isinstance(site_specs, Sequence)
+                and all(isinstance(s, SiteSpec) for s in site_specs)):
+            raise TypeError("site_specs must be a sequence of SiteSpec "
+                            f"objects, got {site_specs!r}")
+        specs = list(site_specs)
         if len(specs) < 2:
             raise ValueError("a metadata center needs at least two sites")
         names = [s.name for s in specs]

@@ -173,13 +173,6 @@ class DistributedAccessManager:
             self._background_replicate(fr, source, at)
         done.succeed("remote")
 
-    def _nearest_holder(self, fr: FileResidency, block: int, at: Site) -> Site:
-        """Back-compat point lookup: the selector's top-ranked candidate."""
-        ranked = self.selector.rank(fr, block, at, self.block_size)
-        if not ranked:
-            raise LookupError(f"no surviving copy of {fr.path!r}[{block}]")
-        return ranked[0]
-
     # -- background movement ----------------------------------------------------------------
 
     def _background_prefetch(self, fr: FileResidency, start: int,

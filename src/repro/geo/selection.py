@@ -295,7 +295,7 @@ class ReplicaSelector:
 class StaticSelector(ReplicaSelector):
     """The original policy: nearest surviving holder by fibre distance.
 
-    Byte-identical ordering to the pre-selection ``_nearest_holder`` sort
+    Byte-identical ordering to the pre-selection nearest-holder sort
     (distance, then name), so scenarios declaring ``selection="static"``
     reproduce their pre-selector traces exactly.
     """

@@ -1,4 +1,4 @@
-"""Hardware substrate models: disks, blades, ports, switches, failures.
+"""Hardware substrate models: disks, blades, ports, and switches.
 
 These stand in for the physical testbed the paper assumes (FC disk farms,
 controller blades, switched fabrics) — see DESIGN.md's substitution table.
@@ -6,7 +6,6 @@ controller blades, switched fabrics) — see DESIGN.md's substitution table.
 
 from .blade import BladeFailedError, BladeState, ControllerBlade
 from .disk import Disk, DiskFailedError, make_disk_farm
-from .failures import FailureEvent, FailureInjector
 from .ports import NetworkPath, Port, ethernet_port, fc_port, pci_x_bus
 from .switch import Fabric, ethernet_switch, fc_switch
 
@@ -17,8 +16,6 @@ __all__ = [
     "Disk",
     "DiskFailedError",
     "Fabric",
-    "FailureEvent",
-    "FailureInjector",
     "NetworkPath",
     "Port",
     "ethernet_port",

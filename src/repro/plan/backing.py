@@ -4,10 +4,8 @@
 (E2, E3) put behind a :class:`~repro.cache.pool.CacheCluster` when
 per-spindle detail isn't the point: the farm delivers at most
 ``bandwidth`` bytes/s in aggregate, with ``latency`` positioning cost per
-access.  It grew up in ``benchmarks/_common.py`` as ``FarmFeed``; it now
-lives with the planner so :meth:`~repro.plan.planner.CacheBenchPlan.
-build` can construct it, and the bench module keeps a compatibility
-alias.
+access.  It lives with the planner so :meth:`~repro.plan.planner.
+CacheBenchPlan.build` can construct it.
 """
 
 from __future__ import annotations

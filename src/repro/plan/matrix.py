@@ -48,29 +48,32 @@ matrix order, so serial and parallel sweeps report identically.
 
 from __future__ import annotations
 
-import json
-from dataclasses import fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
 from typing import Any, Mapping, Sequence
 
+from ..faults.plan import FaultPlan
+from ..sim.codec import Spec, decode, field_types
 from ..sim.replications import run_replications
 from ..sim.rng import stable_hash
-from .planner import plan_storage
+from .planner import decode_campaign, plan_storage
 from .scenario import ScenarioResult
-from .spec import (ClusterSpec, ScenarioSpec, SiteSpec, SpecError,
-                   WorkloadSpec, _reject_unknown)
+from .spec import ClusterSpec, ScenarioSpec, SiteSpec, SpecError, WorkloadSpec
 
-_CLUSTER_AXES = tuple(f.name for f in fields(ClusterSpec))
-_WORKLOAD_AXES = tuple(f.name for f in fields(WorkloadSpec))
+_CLUSTER_TYPES = field_types(ClusterSpec)
+_WORKLOAD_TYPES = field_types(WorkloadSpec)
 _SCENARIO_AXES = ("horizon_s", "site_backing", "selection", "reconcile",
-                  "observability", "integrity", "scrub_passes", "profiler")
+                  "observability", "integrity", "scrub_passes", "profiler",
+                  "faults")
 
-#: Canonical expansion order: topology first, then cluster shape, then
-#: workload, then campaign toggles, faults last — the order axes nest in
-#: scenario names regardless of their order in the JSON document.
-_AXIS_ORDER = (("sites",) + _CLUSTER_AXES + _WORKLOAD_AXES
-               + _SCENARIO_AXES + ("faults",))
+#: Each axis's value type — that of the field it overrides — in canonical
+#: expansion order: topology first, then cluster shape, then workload,
+#: then campaign toggles, faults last — the order axes nest in scenario
+#: names regardless of their order in the JSON document.
+_AXIS_TYPES: dict[str, Any] = {
+    "sites": int, **_CLUSTER_TYPES, **_WORKLOAD_TYPES,
+    **{axis: field_types(ScenarioSpec)[axis] for axis in _SCENARIO_AXES}}
 
 
 def _axis_label(axis: str, value: Any) -> str:
@@ -81,10 +84,7 @@ def _axis_label(axis: str, value: Any) -> str:
     return f"{axis}={value}"
 
 
-def _apply_sites(spec: ScenarioSpec, count: Any) -> ScenarioSpec:
-    if not isinstance(count, int) or count < 1:
-        raise SpecError("sweep.sites",
-                        f"site counts must be ints >= 1, got {count!r}")
+def _apply_sites(spec: ScenarioSpec, count: int) -> ScenarioSpec:
     sites = list(spec.sites[:count])
     for i in range(len(sites), count):
         sites.append(SiteSpec(f"site{i}", position=(0.0, 500.0 * i)))
@@ -93,66 +93,67 @@ def _apply_sites(spec: ScenarioSpec, count: Any) -> ScenarioSpec:
     return replace(spec, sites=tuple(sites), links=links)
 
 
-def _rewrite_fault_targets(doc: Mapping, site_names: list[str]) -> dict:
+def _rewrite_fault_targets(doc: Mapping,
+                           site_names: list[str]) -> FaultPlan:
     """Resolve ``@``-templated targets against the expanded topology."""
-    out = dict(doc)
+    plan = decode_campaign(doc)
     faults = []
-    for fault in out.get("faults", []):
-        fault = dict(fault)
-        target = fault.get("target", "")
-        if isinstance(target, str) and target.startswith("@"):
+    for fault in plan:
+        target = fault.target
+        if target.startswith("@"):
             target = target[1:]
             if len(site_names) == 1:
                 for name in site_names + ["site0"]:
                     if target.startswith(name + "."):
                         target = target[len(name) + 1:]
                         break
-            fault["target"] = target
-        faults.append(fault)
-    out["faults"] = faults
-    return out
+        faults.append(replace(fault, target=target))
+    return replace(plan, faults=faults)
 
 
 def _apply_axis(spec: ScenarioSpec, axis: str, value: Any) -> ScenarioSpec:
     if axis == "sites":
         return _apply_sites(spec, value)
-    if axis == "faults":
-        if value is None:
-            return replace(spec, faults=None)
-        if not isinstance(value, Mapping):
-            raise SpecError("sweep.faults",
-                            "values must be null or an inline fault-plan "
-                            f"document, got {value!r}")
-        return replace(spec, faults=value)
-    if axis in _CLUSTER_AXES:
+    if axis in _CLUSTER_TYPES:
         return replace(spec, cluster=replace(spec.cluster, **{axis: value}))
-    if axis in _WORKLOAD_AXES:
+    if axis in _WORKLOAD_TYPES:
         return replace(spec, workload=replace(spec.workload, **{axis: value}))
     return replace(spec, **{axis: value})
 
 
-class MatrixSpec:
-    """A sweep over scenario axes, expanding into concrete scenarios."""
+@dataclass
+class MatrixSpec(Spec, context="matrix"):
+    """A sweep over scenario axes, expanding into concrete scenarios.
 
-    def __init__(self, base: ScenarioSpec,
-                 sweep: Mapping[str, Sequence[Any]],
-                 name: str = "matrix") -> None:
-        self.name = name
-        self.base = base
-        for axis, values in sweep.items():
-            if axis not in _AXIS_ORDER:
+    ``sweep`` maps axis → list of values; each value is decoded as the
+    field its axis overrides, so a bad value fails here, not mid-sweep.
+    """
+
+    base: ScenarioSpec = field(default_factory=ScenarioSpec)
+    sweep: Mapping = field(default_factory=dict)
+    name: str = "matrix"
+
+    def __post_init__(self) -> None:
+        for axis, values in self.sweep.items():
+            if axis not in _AXIS_TYPES:
                 raise SpecError(
                     f"sweep.{axis}",
                     f"unknown sweep axis; known axes: "
-                    f"{', '.join(_AXIS_ORDER)}")
+                    f"{', '.join(_AXIS_TYPES)}")
             if not isinstance(values, Sequence) or isinstance(values, str) \
-                    or not list(values):
+                    or not values:
                 raise SpecError(f"sweep.{axis}",
                                 f"expected a non-empty list of values, "
                                 f"got {values!r}")
         # Canonical axis order, not document order.
-        self.sweep: dict[str, list[Any]] = {
-            axis: list(sweep[axis]) for axis in _AXIS_ORDER if axis in sweep}
+        self.sweep = {
+            axis: [decode(tp, v, f"sweep.{axis}[{i}]")
+                   for i, v in enumerate(self.sweep[axis])]
+            for axis, tp in _AXIS_TYPES.items() if axis in self.sweep}
+        for i, count in enumerate(self.sweep.get("sites", ())):
+            if count < 1:
+                raise SpecError(f"sweep.sites[{i}]",
+                                f"site counts must be >= 1, got {count}")
 
     def __len__(self) -> int:
         n = 1
@@ -184,32 +185,6 @@ class MatrixSpec:
             plan_storage(spec)  # validate now, with the cell's spec path
             out.append(spec)
         return out
-
-    # -- serialization ---------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "base": self.base.as_dict(),
-                "sweep": {a: list(v) for a, v in self.sweep.items()}}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_dict(cls, doc: Mapping, context: str = "matrix") -> "MatrixSpec":
-        _reject_unknown(doc, {"name", "base", "sweep"}, context)
-        base = ScenarioSpec.from_dict(doc.get("base", {}),
-                                      context=f"{context}.base")
-        sweep = doc.get("sweep", {})
-        if not isinstance(sweep, Mapping):
-            raise SpecError(f"{context}.sweep",
-                            f"expected an object of axis: values, "
-                            f"got {sweep!r}")
-        return cls(base=base, sweep=sweep,
-                   name=str(doc.get("name", "matrix")))
-
-    @classmethod
-    def from_json(cls, text: str, context: str = "matrix") -> "MatrixSpec":
-        return cls.from_dict(json.loads(text), context=context)
 
 
 # -- running -------------------------------------------------------------------

@@ -211,6 +211,20 @@ class Plan:
         return build_scenario(sim, self)
 
 
+def decode_campaign(doc: Mapping) -> FaultPlan:
+    """A scenario's inline fault-plan document as a :class:`FaultPlan`.
+
+    Errors in fault ``i`` read ``faults[i]...``, the scenario-relative
+    path target errors use; errors in the document itself read ``faults``.
+    """
+    try:
+        return FaultPlan.from_dict(doc, context="")
+    except SpecError as exc:
+        if exc.path:
+            raise
+        raise SpecError("faults", str(exc)) from None
+
+
 def _resolve_faults(spec: ScenarioSpec, valid_targets: set[str],
                     site_names: set[str] | None = None) -> FaultPlan | None:
     """Validate the campaign; ``site_names`` non-None enables PARTITION
@@ -218,11 +232,7 @@ def _resolve_faults(spec: ScenarioSpec, valid_targets: set[str],
     plus site membership instead of inventory lookup."""
     if spec.faults is None:
         return None
-    try:
-        plan = FaultPlan.from_json(json.dumps(dict(spec.faults)),
-                                   context=f"scenario {spec.name!r} faults")
-    except ValueError as exc:
-        raise SpecError("faults", str(exc)) from None
+    plan = decode_campaign(spec.faults)
     for i, fault in enumerate(plan):
         if fault.kind is FaultKind.PARTITION:
             if site_names is None:

@@ -5,10 +5,10 @@ a :class:`ScenarioSpec` (topology + workload + campaigns) compiles through
 :func:`repro.plan.planner.plan_storage` into an asserted :class:`~repro.
 plan.planner.Plan`, and the plan builds the live system.  Every spec is a
 frozen dataclass that round-trips losslessly through JSON (``to_json`` /
-``from_json``), rejects unknown fields with the offending path in the
-error (mirroring :meth:`repro.faults.plan.FaultPlan.from_json`'s
-strictness), and carries the seed, so a scenario file is a complete,
-replayable experiment description.
+``from_json``, the shared :mod:`repro.sim.codec` rules: strict types, no
+unknown or missing fields, every error a :class:`SpecError` naming its
+path) and carries the seed, so a scenario file is a complete, replayable
+experiment description.
 
 The family:
 
@@ -30,42 +30,16 @@ The family:
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from ..core.config import SystemConfig
+from ..sim.codec import Spec, SpecError
 from ..sim.units import gbps, mib, us
-
-_CONFIG_FIELDS = {f.name for f in fields(SystemConfig)}
-
-
-class SpecError(ValueError):
-    """A spec failed validation; the message starts with the spec path
-    (e.g. ``sites[1].replication``) naming the offending axis."""
-
-    def __init__(self, path: str, message: str) -> None:
-        super().__init__(f"{path}: {message}")
-        self.path = path
-
-
-def _reject_unknown(doc: Mapping, allowed: set[str], context: str) -> None:
-    """Unknown-field strictness shared by every ``from_dict``."""
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise SpecError(context,
-                        f"unknown field(s) {', '.join(map(repr, unknown))}; "
-                        f"known fields: {', '.join(sorted(allowed))}")
-
-
-def _require(doc: Mapping, key: str, context: str) -> Any:
-    if key not in doc:
-        raise SpecError(context, f"missing required field {key!r}")
-    return doc[key]
 
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(Spec, context="cluster"):
     """A sparse overlay over :class:`SystemConfig`.
 
     Every field defaults to ``None`` — *inherit* — so a scenario-wide
@@ -98,17 +72,9 @@ class ClusterSpec:
             return self
         return ClusterSpec(**{**self.overrides(), **override.overrides()})
 
-    def as_dict(self) -> dict:
-        return self.overrides()
-
-    @classmethod
-    def from_dict(cls, doc: Mapping, context: str = "cluster") -> "ClusterSpec":
-        _reject_unknown(doc, {f.name for f in fields(cls)}, context)
-        return cls(**doc)
-
 
 @dataclass(frozen=True)
-class SiteSpec:
+class SiteSpec(Spec, context="site"):
     """One data center: a name, a plane position in km, and optional
     per-site :class:`SystemConfig` overrides via ``cluster``."""
 
@@ -130,31 +96,9 @@ class SiteSpec:
         overrides = self.cluster.overrides() if self.cluster else {}
         return dataclasses.replace(base, name=self.name, **overrides)
 
-    def as_dict(self) -> dict:
-        doc: dict[str, Any] = {"name": self.name,
-                               "position": list(self.position)}
-        if self.cluster is not None and self.cluster.overrides():
-            doc["cluster"] = self.cluster.as_dict()
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Mapping, context: str = "site") -> "SiteSpec":
-        _reject_unknown(doc, {"name", "position", "cluster"}, context)
-        name = str(_require(doc, "name", context))
-        position = doc.get("position", (0.0, 0.0))
-        if not (isinstance(position, (list, tuple)) and len(position) == 2):
-            raise SpecError(f"{context}.position",
-                            f"expected [x_km, y_km], got {position!r}")
-        cluster = None
-        if "cluster" in doc:
-            cluster = ClusterSpec.from_dict(doc["cluster"],
-                                            context=f"{context}.cluster")
-        return cls(name=name, position=(float(position[0]),
-                                        float(position[1])), cluster=cluster)
-
 
 @dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(Spec, context="link"):
     """One WAN conduit between two named sites (encrypted by default,
     matching :meth:`~repro.geo.metacenter.MetadataCenter.connect`)."""
 
@@ -170,25 +114,13 @@ class LinkSpec:
             raise ValueError(
                 f"bandwidth must be > 0, got {self.bandwidth}")
 
-    def as_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "bandwidth": self.bandwidth,
-                "encrypted": self.encrypted}
-
-    @classmethod
-    def from_dict(cls, doc: Mapping, context: str = "link") -> "LinkSpec":
-        _reject_unknown(doc, {"a", "b", "bandwidth", "encrypted"}, context)
-        return cls(a=str(_require(doc, "a", context)),
-                   b=str(_require(doc, "b", context)),
-                   bandwidth=float(doc.get("bandwidth", gbps(2.5))),
-                   encrypted=bool(doc.get("encrypted", True)))
-
 
 #: How a scenario's clients are modeled.
 WORKLOAD_KINDS = ("closed", "fluid")
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Spec, context="workload"):
     """The client population a scenario drives to its horizon.
 
     ``kind="closed"`` (the default) spawns one generator process per
@@ -259,32 +191,13 @@ class WorkloadSpec:
             raise ValueError(
                 f"admit_ops_s must be >= 0, got {self.admit_ops_s}")
 
-    def as_dict(self) -> dict:
-        return {"clients": self.clients, "op_bytes": self.op_bytes,
-                "period_s": self.period_s, "path": self.path,
-                "geo_mode": self.geo_mode, "geo_sites": self.geo_sites,
-                "kind": self.kind,
-                "ops_per_client_s": self.ops_per_client_s,
-                "read_fraction": self.read_fraction,
-                "hit_ratio": self.hit_ratio, "pulse_s": self.pulse_s,
-                "admit_ops_s": self.admit_ops_s}
-
-    @classmethod
-    def from_dict(cls, doc: Mapping,
-                  context: str = "workload") -> "WorkloadSpec":
-        _reject_unknown(doc, {f.name for f in fields(cls)}, context)
-        try:
-            return cls(**doc)
-        except ValueError as exc:
-            raise SpecError(context, str(exc)) from None
-
 
 #: How the sites of a multi-site scenario model their local storage.
 SITE_BACKINGS = ("system", "aggregate")
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Spec, context="scenario"):
     """One complete, replayable scenario: topology × workload × campaigns.
 
     ``cluster`` holds scenario-wide :class:`SystemConfig` overrides;
@@ -340,92 +253,15 @@ class ScenarioSpec:
         object.__setattr__(self, "links", tuple(self.links))
         faults = self.faults
         if faults is not None and not isinstance(faults, Mapping):
-            # A FaultPlan (or anything exposing its to_json contract).
-            object.__setattr__(self, "faults", json.loads(faults.to_json()))
+            # A FaultPlan (or anything exposing its as_dict contract).
+            object.__setattr__(self, "faults", faults.as_dict())
 
     def site_names(self) -> list[str]:
         return [s.name for s in self.sites]
 
-    # -- serialization ---------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        doc: dict[str, Any] = {
-            "name": self.name, "seed": self.seed,
-            "horizon_s": self.horizon_s,
-            "sites": [s.as_dict() for s in self.sites],
-            "workload": self.workload.as_dict(),
-            "site_backing": self.site_backing,
-            "selection": self.selection,
-            "observability": self.observability,
-            "integrity": self.integrity,
-            "scrub_passes": self.scrub_passes,
-            "profiler": self.profiler,
-            "series_interval_s": self.series_interval_s,
-            "series_capacity": self.series_capacity,
-            "tracing": self.tracing,
-        }
-        if self.cluster.overrides():
-            doc["cluster"] = self.cluster.as_dict()
-        if self.links:
-            doc["links"] = [l.as_dict() for l in self.links]
-        if self.faults is not None:
-            doc["faults"] = dict(self.faults)
-        # Emitted only when enabled so pre-existing spec documents and
-        # their fingerprint fixtures stay byte-identical.
-        if self.reconcile:
-            doc["reconcile"] = True
-        return doc
-
-    def to_json(self, indent: int | None = None) -> str:
-        """Deterministic JSON for fixtures and experiment provenance."""
-        return json.dumps(self.as_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_dict(cls, doc: Mapping,
-                  context: str = "scenario") -> "ScenarioSpec":
-        allowed = {"name", "seed", "horizon_s", "cluster", "sites", "links",
-                   "workload", "faults", "site_backing", "selection",
-                   "reconcile", "observability", "integrity", "scrub_passes",
-                   "profiler", "series_interval_s", "series_capacity",
-                   "tracing"}
-        _reject_unknown(doc, allowed, context)
-        sites_doc = doc.get("sites", [{"name": "site0"}])
-        if not isinstance(sites_doc, Sequence) or isinstance(sites_doc, str):
-            raise SpecError(f"{context}.sites",
-                            f"expected a list of sites, got {sites_doc!r}")
-        sites = tuple(SiteSpec.from_dict(s, context=f"{context}.sites[{i}]")
-                      for i, s in enumerate(sites_doc))
-        links = tuple(LinkSpec.from_dict(l, context=f"{context}.links[{i}]")
-                      for i, l in enumerate(doc.get("links", [])))
-        cluster = ClusterSpec.from_dict(doc.get("cluster", {}),
-                                        context=f"{context}.cluster")
-        workload = WorkloadSpec.from_dict(doc.get("workload", {}),
-                                          context=f"{context}.workload")
-        return cls(
-            name=str(doc.get("name", "scenario")),
-            seed=int(doc.get("seed", 0)),
-            horizon_s=float(doc.get("horizon_s", 3600.0)),
-            cluster=cluster, sites=sites, links=links, workload=workload,
-            faults=doc.get("faults"),
-            site_backing=str(doc.get("site_backing", "system")),
-            selection=str(doc.get("selection", "static")),
-            reconcile=bool(doc.get("reconcile", False)),
-            observability=bool(doc.get("observability", False)),
-            integrity=bool(doc.get("integrity", False)),
-            scrub_passes=int(doc.get("scrub_passes", 0)),
-            profiler=bool(doc.get("profiler", False)),
-            series_interval_s=float(doc.get("series_interval_s", 1.0)),
-            series_capacity=int(doc.get("series_capacity", 720)),
-            tracing=bool(doc.get("tracing", True)))
-
-    @classmethod
-    def from_json(cls, text: str,
-                  context: str = "scenario") -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text), context=context)
-
 
 @dataclass(frozen=True)
-class CacheBenchSpec:
+class CacheBenchSpec(Spec, context="cache_bench"):
     """The lightweight cache-experiment topology: controller blades over
     an aggregate farm feed (finite bandwidth + positioning latency)
     instead of per-spindle detail — the shape E2/E3 sweep.
@@ -459,18 +295,6 @@ class CacheBenchSpec:
         if self.farm_bandwidth <= 0 or self.farm_latency < 0:
             raise ValueError("farm_bandwidth must be > 0 and "
                              "farm_latency >= 0")
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, doc: Mapping,
-                  context: str = "cache_bench") -> "CacheBenchSpec":
-        _reject_unknown(doc, {f.name for f in fields(cls)}, context)
-        try:
-            return cls(**doc)
-        except ValueError as exc:
-            raise SpecError(context, str(exc)) from None
 
 
 __all__ = ["CacheBenchSpec", "ClusterSpec", "LinkSpec", "ScenarioSpec",

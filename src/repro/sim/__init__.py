@@ -26,7 +26,7 @@ from .replications import (
 )
 from .resources import Container, PriorityResource, Request, Resource, Store
 from .rng import RngStreams, stable_hash
-from .stats import Counter, Histogram, MetricSet, RateMeter, Tally, TimeWeighted
+from .stats import Counter, MetricSet, RateMeter, Tally, TimeWeighted
 
 __all__ = [
     "AllOf",
@@ -41,7 +41,6 @@ __all__ = [
     "LinkDownError",
     "SimulatedFault",
     "TransientIOError",
-    "Histogram",
     "Interrupt",
     "MetricSet",
     "PriorityResource",

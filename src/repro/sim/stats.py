@@ -21,16 +21,16 @@ if TYPE_CHECKING:  # pragma: no cover
 class Tally:
     """Streaming mean/variance/min/max of per-event observations.
 
-    Uses Welford's algorithm; optionally keeps raw samples for percentiles.
+    Uses Welford's algorithm, and keeps raw samples for percentiles.
     """
 
-    def __init__(self, keep_samples: bool = True) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self._mean = 0.0
         self._m2 = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._samples: list[float] | None = [] if keep_samples else None
+        self._samples: list[float] = []
 
     def record(self, value: float) -> None:
         """Add one observation."""
@@ -43,8 +43,7 @@ class Tally:
             self.min = value
         if value > self.max:
             self.max = value
-        if self._samples is not None:
-            self._samples.append(value)
+        self._samples.append(value)
 
     def mean(self) -> float:
         """Arithmetic mean of recorded observations (0 when empty)."""
@@ -64,25 +63,19 @@ class Tally:
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (0-100) of recorded samples."""
-        if self._samples is None:
-            raise RuntimeError("Tally was created with keep_samples=False")
         if not self._samples:
             return 0.0
         return float(np.percentile(np.asarray(self._samples), q))
 
     def percentiles(self, qs: "list[float]") -> list[float]:
-        """Several percentiles in one pass (requires keep_samples=True)."""
-        if self._samples is None:
-            raise RuntimeError("Tally was created with keep_samples=False")
+        """Several percentiles in one pass."""
         if not self._samples:
             return [0.0] * len(qs)
         return [float(v) for v in
                 np.percentile(np.asarray(self._samples), qs)]
 
     def samples(self) -> np.ndarray:
-        """Raw samples as a numpy array (requires keep_samples=True)."""
-        if self._samples is None:
-            raise RuntimeError("Tally was created with keep_samples=False")
+        """Raw samples as a numpy array."""
         return np.asarray(self._samples, dtype=float)
 
 
@@ -158,29 +151,6 @@ class RateMeter:
         return self.total / elapsed if elapsed > 0 else 0.0
 
 
-class Histogram:
-    """Fixed-bin histogram for latency distributions in reports."""
-
-    def __init__(self, edges: list[float]) -> None:
-        if sorted(edges) != list(edges) or len(edges) < 2:
-            raise ValueError("edges must be a sorted list of >= 2 values")
-        self.edges = np.asarray(edges, dtype=float)
-        self.counts = np.zeros(len(edges) + 1, dtype=np.int64)
-
-    def record(self, value: float) -> None:
-        """Drop a value into its bin."""
-        idx = int(np.searchsorted(self.edges, value, side="right"))
-        self.counts[idx] += 1
-
-    def as_dict(self) -> dict[str, int]:
-        """Bin label -> count mapping for reports."""
-        out: dict[str, int] = {f"<{self.edges[0]:g}": int(self.counts[0])}
-        for i in range(len(self.edges) - 1):
-            out[f"[{self.edges[i]:g},{self.edges[i + 1]:g})"] = int(self.counts[i + 1])
-        out[f">={self.edges[-1]:g}"] = int(self.counts[-1])
-        return out
-
-
 class MetricSet:
     """A named registry of collectors so subsystems can publish metrics.
 
@@ -198,7 +168,6 @@ class MetricSet:
         self._levels: dict[str, TimeWeighted] = {}
         self._counters: dict[str, Counter] = {}
         self._rates: dict[str, RateMeter] = {}
-        self._histograms: dict[str, Histogram] = {}
 
     def tally(self, name: str) -> Tally:
         """The named Tally, created on first use."""
@@ -224,27 +193,12 @@ class MetricSet:
             self._rates[name] = RateMeter(self.sim)
         return self._rates[name]
 
-    def histogram(self, name: str, edges: list[float] | None = None) -> Histogram:
-        """The named Histogram, created on first use.
-
-        ``edges`` is required the first time a name is seen (histograms
-        need their bin layout up front) and ignored afterwards.
-        """
-        if name not in self._histograms:
-            if edges is None:
-                raise ValueError(
-                    f"histogram {name!r} does not exist yet; pass edges "
-                    "on first use")
-            self._histograms[name] = Histogram(edges)
-        return self._histograms[name]
-
     def snapshot(self) -> dict[str, float]:
         """Flatten every collector into a name→value report.
 
         Tallies report mean/count always, plus min/max/std and the
         :data:`SNAPSHOT_PERCENTILES` (p50/p95/p99) once they have data;
-        time-weighted levels add their observed peak; histograms flatten
-        to one entry per bin.
+        time-weighted levels add their observed peak.
         """
         out: dict[str, float] = {}
         for name, t in self._tallies.items():
@@ -254,10 +208,9 @@ class MetricSet:
                 out[f"{name}.min"] = t.min
                 out[f"{name}.max"] = t.max
                 out[f"{name}.std"] = t.std()
-                if t._samples is not None:
-                    for q, v in zip(self.SNAPSHOT_PERCENTILES,
-                                    t.percentiles(list(self.SNAPSHOT_PERCENTILES))):
-                        out[f"{name}.p{q:g}"] = v
+                for q, v in zip(self.SNAPSHOT_PERCENTILES,
+                                t.percentiles(list(self.SNAPSHOT_PERCENTILES))):
+                    out[f"{name}.p{q:g}"] = v
         for name, lv in self._levels.items():
             out[f"{name}.twa"] = lv.mean()
             out[f"{name}.peak"] = lv.max
@@ -265,7 +218,4 @@ class MetricSet:
             out[name] = c.value
         for name, r in self._rates.items():
             out[f"{name}.bytes_per_s"] = r.rate()
-        for name, h in self._histograms.items():
-            for label, count in h.as_dict().items():
-                out[f"{name}.bin{label}"] = float(count)
         return out

@@ -1,18 +1,12 @@
-"""Corruption kinds in the fault-plan layer, and the legacy-injector
-unification: typed plans round-trip the new kinds, unknown kinds fail
-loudly with file context, campaigns bind to integrity-enabled systems,
-and the legacy FailureInjector routes onto shared RecoveryTrackers."""
+"""Corruption kinds in the fault-plan layer: typed plans round-trip the
+new kinds, unknown kinds fail loudly with their path, and campaigns bind
+to integrity-enabled systems."""
 
-import warnings
-
-import numpy as np
 import pytest
 
 from repro import FaultKind, FaultPlan, NetStorageSystem, Simulator, \
     SystemConfig
-from repro.faults import FaultInjector
 from repro.faults.plan import _CORRUPTION_KINDS, FaultSpec
-from repro.hardware.failures import FailureInjector
 from repro.sim.units import mib
 
 
@@ -26,7 +20,7 @@ def test_corruption_kinds_round_trip_json():
             .add(30.0, FaultKind.MISDIRECTED_WRITE, "disk0")
             .add(40.0, FaultKind.WIRE_CORRUPT, "cache", severity=3.0))
     clone = FaultPlan.from_json(plan.to_json())
-    assert clone.specs == plan.specs
+    assert clone.faults == plan.faults
     assert [s.kind for s in clone] == [
         FaultKind.BITROT, FaultKind.TORN_WRITE,
         FaultKind.MISDIRECTED_WRITE, FaultKind.WIRE_CORRUPT]
@@ -39,7 +33,7 @@ def test_unknown_kind_names_kind_and_context():
         FaultPlan.from_json(doc, context="campaign.json")
     msg = str(err.value)
     assert "gamma_ray" in msg
-    assert "campaign.json fault #1" in msg
+    assert err.value.path == "campaign.json.faults[1].kind"
     assert "bitrot" in msg  # the known-kinds list helps fix the fixture
 
 
@@ -107,42 +101,3 @@ def test_corruption_binding_requires_integrity():
     injector.arm(FaultPlan().add(5.0, FaultKind.BITROT, "disk2"),
                  strict=False)
     assert injector.skipped == 1
-
-
-# -- legacy FailureInjector unification ------------------------------------
-
-
-class _Fragile:
-    def __init__(self, name):
-        self.name = name
-        self.up = True
-
-    def fail(self):
-        self.up = False
-
-    def repair(self):
-        self.up = True
-
-
-def test_legacy_injector_routes_events_to_shared_trackers():
-    sim = Simulator()
-    registry = FaultInjector(sim)  # anything with .tracker(name)
-    legacy = FailureInjector(sim, tracker_registry=registry)
-    comp = _Fragile("blade9")
-    legacy.fail_at(comp, 10.0)
-    legacy.repair_at(comp, 25.0)
-    sim.run(until=50.0)
-    assert not comp.up or comp.up  # both events applied below
-    tracker = registry.tracker("blade9")
-    assert tracker.failures == 1
-    assert tracker.state.value == "up"
-    assert tracker.availability() < 1.0  # the 15 s outage is on record
-    assert legacy.failures_injected() == 1
-
-
-def test_legacy_lifecycle_is_deprecated():
-    sim = Simulator()
-    legacy = FailureInjector(sim)
-    with pytest.warns(DeprecationWarning, match="FaultPlan.random"):
-        legacy.run_lifecycle(_Fragile("c0"), np.random.default_rng(1),
-                             mtbf=100.0, mttr=10.0, horizon=50.0)

@@ -31,7 +31,7 @@ class TestPlan:
                 .add(5.0, FaultKind.DISK_FAIL, "disk3")
                 .add(1.0, "blade_crash", "blade0", duration=2.0))
         assert [s.at for s in plan] == [1.0, 5.0]
-        assert plan.specs[0].kind is FaultKind.BLADE_CRASH  # str coerced
+        assert plan.faults[0].kind is FaultKind.BLADE_CRASH  # str coerced
 
     def test_by_kind(self):
         plan = (FaultPlan()
@@ -46,7 +46,7 @@ class TestPlan:
                 .add(1.0, FaultKind.BLADE_CRASH, "blade0", duration=30.0)
                 .add(2.5, FaultKind.TRANSIENT_IO, "cache", severity=3.0))
         clone = FaultPlan.from_json(plan.to_json())
-        assert clone.specs == plan.specs
+        assert clone.faults == plan.faults
         assert clone.to_json() == plan.to_json()
 
     def test_random_is_deterministic(self):
@@ -58,8 +58,8 @@ class TestPlan:
         b = FaultPlan.random(seed=7, **kw)
         c = FaultPlan.random(seed=8, **kw)
         assert len(a) > 0
-        assert a.specs == b.specs
-        assert a.specs != c.specs
+        assert a.faults == b.faults
+        assert a.faults != c.faults
         assert a.to_json() == b.to_json()
 
     def test_random_substreams_are_independent(self):
@@ -73,14 +73,14 @@ class TestPlan:
             seed=7, targets={FaultKind.BLADE_CRASH: ["blade0", "blade1"],
                              FaultKind.DISK_FAIL: ["disk0"]}, **kw)
         blade0 = [s for s in big if s.target == "blade0"]
-        assert blade0 == small.specs
+        assert blade0 == small.faults
 
     def test_random_outages_do_not_overlap_per_target(self):
         plan = FaultPlan.random(
             seed=11, horizon=hours(2000),
             targets={FaultKind.BLADE_CRASH: ["blade0"]},
             mtbf=hours(20), mttr=hours(5))
-        specs = plan.specs
+        specs = plan.faults
         assert len(specs) >= 2
         for prev, cur in zip(specs, specs[1:]):
             assert cur.at >= prev.at + prev.duration

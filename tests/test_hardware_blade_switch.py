@@ -1,4 +1,4 @@
-"""Unit tests for blades, ports, paths, switches, and failure injection."""
+"""Unit tests for blades, ports, paths, and switches."""
 
 import pytest
 
@@ -6,14 +6,13 @@ from repro.hardware import (
     BladeFailedError,
     BladeState,
     ControllerBlade,
-    FailureInjector,
     NetworkPath,
     ethernet_port,
     fc_port,
     fc_switch,
     pci_x_bus,
 )
-from repro.sim import RngStreams, Simulator
+from repro.sim import Simulator
 from repro.sim.units import gbps, gib, to_gbps
 
 
@@ -179,82 +178,3 @@ class TestFabric:
         sim.run()
         # Two 2 Gb/s flows share a 2 Gb/s backplane: each takes ~2s.
         assert all(t == pytest.approx(2.0, rel=0.01) for t in done)
-
-
-class TestFailureInjector:
-    def test_scheduled_fail_and_repair(self):
-        sim = Simulator()
-        blade = ControllerBlade(sim, 0)
-        inj = FailureInjector(sim)
-        inj.fail_at(blade, 5.0)
-        inj.repair_at(blade, 9.0)
-        states = []
-
-        def watcher():
-            yield sim.timeout(6.0)
-            states.append(blade.state)
-            yield sim.timeout(4.0)
-            states.append(blade.state)
-
-        sim.process(watcher())
-        sim.run()
-        assert states == [BladeState.FAILED, BladeState.UP]
-        assert inj.failures_injected() == 1
-        assert [ev.kind for ev in inj.log] == ["fail", "repair"]
-
-    def test_past_schedule_rejected(self):
-        sim = Simulator()
-        blade = ControllerBlade(sim, 0)
-        inj = FailureInjector(sim)
-
-        def proc():
-            yield sim.timeout(10.0)
-
-        sim.process(proc())
-        sim.run()
-        with pytest.raises(ValueError):
-            inj.fail_at(blade, 5.0)
-        with pytest.raises(ValueError):
-            inj.repair_at(blade, 5.0)
-
-    def test_stochastic_lifecycle_alternates(self):
-        sim = Simulator()
-        blade = ControllerBlade(sim, 0)
-        inj = FailureInjector(sim)
-        rng = RngStreams(1).fresh("failures")
-        with pytest.warns(DeprecationWarning):
-            inj.run_lifecycle(blade, rng, mtbf=10.0, mttr=1.0, horizon=200.0)
-        sim.run()
-        kinds = [ev.kind for ev in inj.log]
-        assert kinds[::2] == ["fail"] * len(kinds[::2])
-        assert kinds[1::2] == ["repair"] * len(kinds[1::2])
-        assert inj.failures_injected() >= 5
-
-    def test_lifecycle_deprecation_names_the_replacement(self):
-        # The warning must point migrators at the FaultPlan/FaultInjector
-        # path, not just say "deprecated".
-        sim = Simulator()
-        inj = FailureInjector(sim)
-        rng = RngStreams(1).fresh("failures")
-        with pytest.warns(DeprecationWarning, match=r"FaultPlan\.random"):
-            inj.run_lifecycle(ControllerBlade(sim, 0), rng,
-                              mtbf=10.0, mttr=1.0, horizon=1.0)
-        sim.run()
-
-    def test_lifecycle_rejects_bad_params(self):
-        sim = Simulator()
-        inj = FailureInjector(sim)
-        rng = RngStreams(1).fresh("x")
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            inj.run_lifecycle(ControllerBlade(sim, 0), rng, mtbf=0, mttr=1)
-
-    def test_callbacks_invoked(self):
-        sim = Simulator()
-        blade = ControllerBlade(sim, 0)
-        seen = []
-        inj = FailureInjector(sim, on_fail=lambda c: seen.append("f"),
-                              on_repair=lambda c: seen.append("r"))
-        inj.fail_at(blade, 1.0)
-        inj.repair_at(blade, 2.0)
-        sim.run()
-        assert seen == ["f", "r"]

@@ -187,19 +187,13 @@ def test_shared_obs_bundle_across_geo_sites():
     assert built.systems["west"].obs is sim.obs
 
 
-# -- the deprecated tuple-dict MetadataCenter shim -----------------------------
+# -- MetadataCenter takes SiteSpec objects only ---------------------------------
 
 
-def test_metadata_center_tuple_dict_shim_warns_and_works():
+def test_metadata_center_rejects_tuple_dict():
     from repro.geo import MetadataCenter
-    sim = Simulator()
-    with pytest.warns(DeprecationWarning, match="SiteSpec"):
-        center = MetadataCenter(
-            sim, {"a": (0.0, 0.0), "b": (0.0, 700.0)},
-            config=SystemConfig(blade_count=2, disk_count=8,
-                                disk_capacity=mib(64)))
-    assert set(center.systems) == {"a", "b"}
-    assert center.systems["a"].config.name == "a"
+    with pytest.raises(TypeError, match="SiteSpec"):
+        MetadataCenter(Simulator(), {"a": (0.0, 0.0), "b": (0.0, 700.0)})
 
 
 def test_metadata_center_site_spec_list_does_not_warn():

@@ -93,7 +93,7 @@ def test_malformed_fault_doc_path():
     with pytest.raises(SpecError) as exc:
         plan_storage(small_spec(faults={"seed": 1, "faults": [
             {"at": 5.0, "kind": "warp_core_breach", "target": "blade0"}]}))
-    assert exc.value.path == "faults"
+    assert exc.value.path == "faults[0].kind"
 
 
 # -- layout arithmetic ---------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import Counter, Histogram, MetricSet, RateMeter, RngStreams, Simulator, Tally, TimeWeighted
+from repro.sim import Counter, MetricSet, RateMeter, RngStreams, Simulator, Tally, TimeWeighted
 from repro.sim import units
 
 
@@ -30,13 +30,6 @@ class TestTally:
             t.record(float(v))
         assert t.percentile(50) == pytest.approx(50.0)
         assert t.percentile(99) == pytest.approx(99.0)
-
-    def test_no_samples_mode_rejects_percentile(self):
-        t = Tally(keep_samples=False)
-        t.record(1.0)
-        with pytest.raises(RuntimeError):
-            t.percentile(50)
-        assert t.mean() == 1.0
 
 
 class TestTimeWeighted:
@@ -120,24 +113,6 @@ def test_rate_meter_zero_time():
     assert meter.rate() == 0.0
 
 
-class TestHistogram:
-    def test_binning(self):
-        h = Histogram([1.0, 10.0, 100.0])
-        for v in (0.5, 5.0, 50.0, 500.0, 5.0):
-            h.record(v)
-        d = h.as_dict()
-        assert d["<1"] == 1
-        assert d["[1,10)"] == 2
-        assert d["[10,100)"] == 1
-        assert d[">=100"] == 1
-
-    def test_bad_edges(self):
-        with pytest.raises(ValueError):
-            Histogram([3.0, 1.0])
-        with pytest.raises(ValueError):
-            Histogram([1.0])
-
-
 def test_metric_set_snapshot():
     sim = Simulator()
     m = MetricSet(sim)
@@ -167,22 +142,6 @@ def test_metric_set_returns_same_collector():
     assert m.counter("y") is m.counter("y")
 
 
-def test_metric_set_histogram_registry():
-    sim = Simulator()
-    m = MetricSet(sim)
-    h = m.histogram("lat", edges=[0.001, 0.01, 0.1])
-    assert m.histogram("lat") is h  # edges only needed on first use
-    for v in (0.0005, 0.005, 0.05, 0.5):
-        h.record(v)
-    snap = m.snapshot()
-    assert snap["lat.bin<0.001"] == 1.0
-    assert snap["lat.bin[0.001,0.01)"] == 1.0
-    assert snap["lat.bin[0.01,0.1)"] == 1.0
-    assert snap["lat.bin>=0.1"] == 1.0
-    with pytest.raises(ValueError):
-        m.histogram("unseen")  # no edges on first use
-
-
 def test_snapshot_includes_spread_and_percentiles():
     sim = Simulator()
     m = MetricSet(sim)
@@ -207,32 +166,12 @@ def test_snapshot_includes_spread_and_percentiles():
 
 
 class TestMetricSetEdgeCases:
-    """Histogram/snapshot boundary behavior the reports depend on."""
+    """Snapshot boundary behavior the reports depend on."""
 
     def test_empty_set_snapshot_is_empty(self):
         sim = Simulator()
         m = MetricSet(sim)
         assert m.snapshot() == {}
-
-    def test_empty_histogram_bins_all_zero(self):
-        sim = Simulator()
-        m = MetricSet(sim)
-        m.histogram("lat", edges=[0.001, 0.1])
-        snap = m.snapshot()
-        assert snap["lat.bin<0.001"] == 0.0
-        assert snap["lat.bin[0.001,0.1)"] == 0.0
-        assert snap["lat.bin>=0.1"] == 0.0
-
-    def test_value_on_edge_falls_in_upper_bin(self):
-        # searchsorted side="right": an observation exactly equal to an
-        # edge belongs to the half-open interval that starts there.
-        h = Histogram([1.0, 10.0])
-        h.record(1.0)
-        h.record(10.0)
-        d = h.as_dict()
-        assert d["<1"] == 0
-        assert d["[1,10)"] == 1
-        assert d[">=10"] == 1
 
     def test_single_sample_tally_snapshot(self):
         # One observation: percentiles collapse onto the sample, std is 0
