@@ -28,12 +28,13 @@ monitor is only ever started when ``sim.obs`` is live.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
 
 from .events import EventLog, Severity
 from .telemetry import ComponentHealth, HealthState
-from .timeseries import SeriesRegistry
+from .timeseries import STATS, Series, SeriesRegistry, Window
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Simulator
@@ -162,6 +163,57 @@ class RatioSLO(SLO):
         return out
 
 
+class _SlotCounts:
+    """Running (observed, violating) slot counts of one series for one
+    :class:`ThresholdSLO`, extended over newly closed windows only.
+
+    Entry ``j`` is one window: its slot ``slots[j]`` and ``rows[j] =
+    (seen, bad, own, carry)`` -- the observed and violating slots before
+    it, whether its own value violates, and, for a level series, whether
+    the ``max`` it carries into the empty slots after it does.  The counts
+    over slots below any ``x`` are then one bisect and a little arithmetic,
+    and a window query is the difference of two of them.  When a flush
+    split a slot, its second entry has the same counts before it and
+    ``bisect_right`` finds it, so the later window decides; that is also
+    why the open slot's window can be folded in before the slot ends.
+    Entries whose windows left the series' ring are dropped, so memory
+    stays bounded by the ring's ``capacity``.
+    """
+
+    __slots__ = ("seq", "slots", "rows")
+
+    def __init__(self) -> None:
+        self.seq = 0
+        self.slots: list[int] = []
+        self.rows: list[tuple[int, int, int, int]] = []
+
+    def below(self, x: int, level: bool) -> tuple[int, int]:
+        """(observed, violating) slots below slot ``x``."""
+        j = bisect_right(self.slots, x) - 1
+        if j < 0:
+            return 0, 0
+        seen, bad, own, carry = self.rows[j]
+        span = x - self.slots[j]
+        if span == 0:
+            return seen, bad
+        if not level:
+            return seen + 1, bad + own
+        return seen + span, bad + own + (span - 1) * carry
+
+    def extend(self, slots: list[int], windows: list[Window], level: bool,
+               stat: str, violates: Callable[[float], bool]) -> None:
+        for slot, w in zip(slots, windows):
+            seen, bad = self.below(slot, level)
+            self.slots.append(slot)
+            self.rows.append((seen, bad, 1 if violates(w.stat(stat)) else 0,
+                              1 if level and violates(w.max) else 0))
+
+    def drop_below(self, slot: int) -> None:
+        k = bisect_left(self.slots, slot)
+        del self.slots[:k]
+        del self.rows[:k]
+
+
 class ThresholdSLO(SLO):
     """Stat-under-bound objective, e.g. "p99 latency ≤ 50 ms".
 
@@ -172,6 +224,11 @@ class ThresholdSLO(SLO):
     down" or "backlog over RPO" objectives need.  When several labeled
     series match, the worst one governs (an SLO is only as good as its
     worst tenant/site).
+
+    The slot values are those of :meth:`Series.slot_stats`, but counted
+    incrementally: each query first folds in the windows closed since the
+    previous one, then reads two prefix counts, so an evaluation costs
+    O(log n) per series plus the newly closed windows.
     """
 
     def __init__(self, name: str, objective: float, series: str,
@@ -179,12 +236,16 @@ class ThresholdSLO(SLO):
                  labels: dict[str, Any] | None = None, **kwargs: Any) -> None:
         if op not in ("gt", "lt"):
             raise ValueError(f"op must be gt/lt, got {op!r}")
+        if stat not in STATS:
+            raise ValueError(
+                f"stat must be one of {'/'.join(STATS)}, got {stat!r}")
         super().__init__(name, objective, **kwargs)
         self.series = series
         self.bound = bound
         self.stat = stat
         self.op = op
         self.labels = dict(labels or {})
+        self._counts: dict[Series, _SlotCounts] = {}
 
     def _violates(self, value: float) -> bool:
         return value > self.bound if self.op == "gt" else value < self.bound
@@ -193,14 +254,25 @@ class ThresholdSLO(SLO):
                        t1: float) -> float | None:
         worst: float | None = None
         for s in registry.match(self.series, **self.labels):
-            total = 0
-            bad = 0
-            for value in s.slot_stats(t0, t1, self.stat):
-                total += 1
-                if self._violates(value):
-                    bad += 1
+            counts = self._counts.get(s)
+            if counts is None:
+                counts = self._counts[s] = _SlotCounts()
+            counts.seq, slots, windows = s.windows_since(counts.seq)
+            level = s.kind == "level"
+            counts.extend(slots, windows, level, self.stat, self._violates)
+            base = s.first_slot
+            if base is None:
+                continue
+            counts.drop_below(base)
+            first = max(int(t0 / s.interval), base)
+            last = int(t1 / s.interval)
+            if first >= last:
+                continue
+            seen0, bad0 = counts.below(first, level)
+            seen1, bad1 = counts.below(last, level)
+            total = seen1 - seen0
             if total:
-                frac = bad / total
+                frac = (bad1 - bad0) / total
                 if worst is None or frac > worst:
                     worst = frac
         return worst
@@ -229,6 +301,8 @@ class SLOMonitor:
         self.registry = registry
         self.log = log
         self._slos: dict[str, SLO] = {}
+        #: The SLOs in name order, kept sorted by :meth:`add`.
+        self._ordered: list[SLO] = []
         self.alerts: list[Alert] = []
         self._active: dict[tuple[str, str], Alert] = {}
         self.evaluations = 0
@@ -240,10 +314,11 @@ class SLOMonitor:
         if slo.name in self._slos:
             raise ValueError(f"duplicate SLO {slo.name!r}")
         self._slos[slo.name] = slo
+        insort(self._ordered, slo, key=lambda x: x.name)
         return slo
 
     def slos(self) -> list[SLO]:
-        return [self._slos[name] for name in sorted(self._slos)]
+        return list(self._ordered)
 
     def health_probe(self, slo_name: str) -> ComponentHealth:
         """Management-plane probe body for one SLO."""
@@ -272,7 +347,7 @@ class SLOMonitor:
         self.evaluations += 1
         now = self.sim.now
         fired: list[Alert] = []
-        for slo in self.slos():
+        for slo in self._ordered:
             for w in slo.windows:
                 burn_short = slo.burn(self.registry, w.short_s, now)
                 burn_long = slo.burn(self.registry, w.long_s, now)

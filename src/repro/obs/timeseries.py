@@ -25,16 +25,21 @@ Two series kinds cover every emitter in the tree:
 * ``sample`` (default) — independent observations (latencies, bytes per
   op).  A window with no observations simply does not exist.
 * ``level`` — a piecewise-constant quantity (backlog bytes, blades down,
-  queue depth).  Range queries carry the last recorded value forward
-  through empty windows, which is what threshold SLOs need to see a 6 h
-  outage that was *recorded* only at its two edges.
+  queue depth).  Range queries carry the ``max`` of the latest window
+  forward through empty slots, which is what threshold SLOs need to see a
+  6 h outage that was *recorded* only at its two edges.
+
+Each series keeps a slot index beside its ring (the slot number of every
+window, bounded by ``capacity`` like the ring), so a range query bisects
+to its windows instead of copying and filtering the ring.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import deque
+from bisect import bisect_left
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,6 +48,13 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Label keys get sorted into the series identity, so ``series("x", a=1,
 #: b=2)`` and ``series("x", b=2, a=1)`` are the same series.
 LabelItems = tuple[tuple[str, Any], ...]
+
+#: The aggregates :meth:`Window.stat` answers.
+STATS = ("count", "sum", "avg", "min", "max", "p99")
+
+_start = attrgetter("start")
+_total = attrgetter("total")
+_count = attrgetter("count")
 
 
 class Window:
@@ -96,11 +108,17 @@ class Series:
     the bucket's end closes it into a :class:`Window` on the ring.  All
     bucket math uses integer bucket indexes (``floor(now / interval)``)
     so alignment is exact and runs are reproducible.
+
+    ``_slots[i]`` is the slot number of ``_ring[i]``,
+    ``int(start / interval)``; both lists are ordered oldest first and
+    hold at most ``capacity`` entries.  A flush mid-slot followed by more
+    records in that slot leaves two windows with one slot number.
     """
 
-    __slots__ = ("name", "labels", "kind", "interval", "sim", "_ring",
-                 "_open_idx", "_open_samples", "windows_dropped",
-                 "_last_value", "total_count", "total_sum")
+    __slots__ = ("name", "labels", "kind", "interval", "sim", "capacity",
+                 "_ring", "_slots", "_open_idx", "_open_samples",
+                 "windows_dropped", "_last_value", "total_count",
+                 "total_sum")
 
     def __init__(self, sim: "Simulator", name: str, labels: LabelItems,
                  interval: float, capacity: int,
@@ -116,7 +134,9 @@ class Series:
         self.labels = labels
         self.kind = kind
         self.interval = float(interval)
-        self._ring: deque[Window] = deque(maxlen=capacity)
+        self.capacity = capacity
+        self._ring: list[Window] = []
+        self._slots: list[int] = []
         self._open_idx: int | None = None
         self._open_samples: list[float] = []
         self.windows_dropped = 0
@@ -150,12 +170,15 @@ class Series:
         samples = self._open_samples
         if not samples:
             return
-        if len(self._ring) == self._ring.maxlen:
+        if len(self._ring) == self.capacity:
             self.windows_dropped += 1
+            del self._ring[0]
+            del self._slots[0]
         samples.sort()
-        self._ring.append(Window(
-            self._open_idx * self.interval, len(samples), sum(samples),
-            samples[0], samples[-1], _p99(samples)))
+        start = self._open_idx * self.interval
+        self._ring.append(Window(start, len(samples), sum(samples),
+                                 samples[0], samples[-1], _p99(samples)))
+        self._slots.append(int(start / self.interval))
         self._open_samples = []
 
     def flush(self) -> None:
@@ -177,52 +200,81 @@ class Series:
         return self._last_value
 
     def window_at(self, when: float) -> Window | None:
-        """The closed window covering simulated time ``when``, if any."""
+        """The closed window covering simulated time ``when``, if any
+        (the earlier one when a flush split the slot)."""
+        self.flush()
         idx = int(when / self.interval)
-        for w in self.windows():
-            if int(w.start / self.interval) == idx:
-                return w
+        i = bisect_left(self._slots, idx)
+        if i < len(self._slots) and self._slots[i] == idx:
+            return self._ring[i]
         return None
 
     def range_windows(self, t0: float, t1: float) -> list[Window]:
-        """Closed windows whose start lies in ``[t0, t1)``."""
-        return [w for w in self.windows() if t0 <= w.start < t1]
+        """Closed windows whose start lies in ``[t0, t1)``, oldest first."""
+        self.flush()
+        # t0 and t1 need not fall on slot boundaries, so bisect the ring
+        # by window start rather than the slot index.
+        ring = self._ring
+        return ring[bisect_left(ring, t0, key=_start):
+                    bisect_left(ring, t1, key=_start)]
 
     def range_sum(self, t0: float, t1: float) -> float:
         """Total of all observations in ``[t0, t1)``."""
-        return sum(w.total for w in self.range_windows(t0, t1))
+        return sum(map(_total, self.range_windows(t0, t1)))
 
     def range_count(self, t0: float, t1: float) -> int:
-        return sum(w.count for w in self.range_windows(t0, t1))
+        return sum(map(_count, self.range_windows(t0, t1)))
 
     def slot_stats(self, t0: float, t1: float,
                    stat: str = "max") -> Iterator[float]:
         """Per-interval values of ``stat`` across ``[t0, t1)``.
 
-        For ``sample`` series, only slots with data yield a value.  For
-        ``level`` series, empty slots inherit the last known value — the
-        value *before* ``t0`` if nothing was recorded since — so a
-        long-lived condition recorded once is visible for its whole
-        duration.  Slots before the first observation yield nothing.
+        A slot's value is ``stat`` of its window, the later one when a
+        flush split the slot.  For ``sample`` series, only slots with data
+        yield a value.  For ``level`` series, an empty slot carries the
+        ``max`` of the latest window before it, inside the range or
+        before ``t0``, so a long-lived condition recorded once is visible
+        for its whole duration and a slot's value does not depend on where
+        the range starts.  Slots before the oldest retained window yield
+        nothing.
         """
         first = int(t0 / self.interval)
         last = int(t1 / self.interval)
-        by_idx = {int(w.start / self.interval): w for w in self.windows()}
-        carried: float | None = None
-        if self.kind == "level":
-            prior = [w for w in self._ring if int(w.start / self.interval) < first]
-            if prior:
-                carried = prior[-1].stat("max" if stat in ("max", "p99", "sum")
-                                         else stat)
+        self.flush()
+        ring, slots = self._ring, self._slots
+        i = bisect_left(slots, first)
+        n = len(slots)
+        level = self.kind == "level"
+        carried = ring[i - 1].max if level and i else None
         for idx in range(first, last):
-            w = by_idx.get(idx)
+            w = None
+            while i < n and slots[i] == idx:
+                w = ring[i]
+                i += 1
             if w is not None:
-                value = w.stat(stat)
-                if self.kind == "level":
-                    carried = w.stat("max")
-                yield value
-            elif self.kind == "level" and carried is not None:
+                if level:
+                    carried = w.max
+                yield w.stat(stat)
+            elif carried is not None:
                 yield carried
+
+    def windows_since(self, seq: int) -> tuple[int, list[int], list[Window]]:
+        """Windows closed at or after position ``seq``, with their slots:
+        ``(next_seq, slots, windows)``, oldest first.
+
+        Positions count every window this series ever closed, so a reader
+        resumes where it stopped even after the ring dropped windows it
+        never saw (those are skipped).  Flushes the open bucket first.
+        """
+        self.flush()
+        lo = max(0, seq - self.windows_dropped)
+        return (self.windows_dropped + max(lo, len(self._ring)),
+                self._slots[lo:], self._ring[lo:])
+
+    @property
+    def first_slot(self) -> int | None:
+        """Slot number of the oldest retained window (None when empty)."""
+        return self._slots[0] if self._slots else None
 
     # -- export ----------------------------------------------------------------
 
@@ -267,6 +319,8 @@ class SeriesRegistry:
         self.interval = float(interval)
         self.capacity = capacity
         self._series: dict[tuple[str, LabelItems], Series] = {}
+        #: ``match`` results by (name, labels); cleared on series creation.
+        self._matches: dict[tuple[str, LabelItems], list[Series]] = {}
 
     # -- access ----------------------------------------------------------------
 
@@ -285,6 +339,7 @@ class SeriesRegistry:
             s = Series(self.sim, name, key[1], self.interval,
                        self.capacity, kind=kind)
             self._series[key] = s
+            self._matches.clear()
         return s
 
     def get(self, name: str, **labels: Any) -> Series | None:
@@ -292,10 +347,16 @@ class SeriesRegistry:
         return self._series.get((name, tuple(sorted(labels.items()))))
 
     def match(self, name: str, **labels: Any) -> list[Series]:
-        """Every series named ``name`` whose labels include ``labels``."""
-        want = set(labels.items())
-        return [s for (n, _l), s in sorted(self._series.items())
-                if n == name and want.issubset(set(s.labels))]
+        """Every series named ``name`` whose labels include ``labels``,
+        sorted by labels.  The list is cached; do not mutate it."""
+        key = (name, tuple(sorted(labels.items())))
+        hit = self._matches.get(key)
+        if hit is None:
+            want = set(labels.items())
+            hit = [s for (n, _l), s in sorted(self._series.items())
+                   if n == name and want.issubset(set(s.labels))]
+            self._matches[key] = hit
+        return hit
 
     def all_series(self) -> list[Series]:
         """Every series, sorted by (name, labels) for stable output."""

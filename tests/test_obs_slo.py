@@ -54,6 +54,12 @@ class TestThresholdSLO:
         with pytest.raises(ValueError):
             ThresholdSLO("x", 0.99, series="s", bound=1.0, op="ge")
 
+    def test_stat_validation_fails_at_construction(self):
+        with pytest.raises(ValueError, match="stat"):
+            ThresholdSLO("x", 0.99, series="s", bound=1.0, stat="p95")
+        for stat in ("count", "sum", "avg", "min", "max", "p99"):
+            ThresholdSLO("x", 0.99, series="s", bound=1.0, stat=stat)
+
     def test_violation_fraction_over_slots(self):
         sim, reg, _mon = make_monitor(interval=1.0)
         s = reg.series("lat")
@@ -162,9 +168,29 @@ class TestSLOMonitor:
         # Far future: the retention ring no longer covers the windows, so
         # burn is None — no evidence means resolve, not latch-forever.
         sim.now = 1800.0 + 720 * 60.0 * 3
-        reg.get("blades_down")._ring.clear()
+        down = reg.get("blades_down")
+        down._ring.clear()
+        down._slots.clear()
         mon.evaluate()
         assert mon.active_alerts() == []
+
+    def test_quiet_counters_resolve_active_alerts(self):
+        # The same "no data" path through the public API only: counters
+        # that stop for longer than the long window leave it empty.
+        sim, reg, mon = make_monitor()
+        mon.add(RatioSLO("avail", 0.999, good="ops_ok", bad="ops_failed"))
+        for minute in range(30):
+            sim.now = minute * 60.0
+            reg.series("ops_ok").incr(1.0)
+            reg.series("ops_failed").incr(1.0)
+        sim.now = 1800.0
+        mon.evaluate()
+        assert [(a.severity, a.active) for a in mon.alerts] == [
+            ("page", True), ("ticket", True)]
+        sim.now = 1800.0 + TICKET.long_s + 60.0
+        mon.evaluate()
+        assert mon.active_alerts() == []
+        assert [a.resolved_at for a in mon.alerts] == [sim.now, sim.now]
 
     def test_start_is_idempotent_and_periodic(self):
         sim, _reg, mon = make_monitor()

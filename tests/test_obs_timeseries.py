@@ -129,6 +129,41 @@ class TestSeries:
         sim.now = 12.0
         assert list(s.slot_stats(4.0, 8.0, "max")) == [1.0] * 4
 
+    @pytest.mark.parametrize("stat", ["min", "avg", "count", "max", "p99"])
+    def test_slot_stats_level_carry_does_not_depend_on_t0(self, stat):
+        # A level window carries its max into the empty slots after it,
+        # whether the range starts before the window or after it.
+        sim, s = make_series(kind="level")
+        s.record(1.0)
+        s.record(5.0)          # slot 0: min 1.0, max 5.0
+        sim.now = 4.0
+        assert list(s.slot_stats(0.0, 4.0, stat))[3] == 5.0
+        assert list(s.slot_stats(3.0, 4.0, stat)) == [5.0]
+
+    def test_flush_mid_slot_splits_it_and_the_later_window_decides(self):
+        sim, s = make_series()
+        sim.now = 0.25
+        s.record(1.0)
+        sim.now = 0.5
+        s.flush()              # an evaluation boundary inside slot 0
+        s.record(3.0)
+        sim.now = 2.0
+        assert [w.start for w in s.windows()] == [0.0, 0.0]
+        assert list(s.slot_stats(0.0, 2.0, "max")) == [3.0]
+        assert s.range_sum(0.0, 1.0) == 4.0     # both windows count
+        assert s.window_at(0.7).total == 1.0    # the first one covers it
+
+    def test_queries_ignore_windows_dropped_from_the_ring(self):
+        sim, s = make_series(capacity=2, kind="level")
+        for t in (0.0, 1.0, 2.0):
+            sim.now = t
+            s.record(t)
+        sim.now = 5.0
+        assert s.window_at(0.5) is None       # the query flushes slot 2 in
+        assert s.windows_dropped == 1
+        assert s.range_sum(0.0, 5.0) == 3.0
+        assert list(s.slot_stats(0.0, 5.0, "max")) == [1.0, 2.0, 2.0, 2.0]
+
     def test_label_str_formats_and_sorts(self):
         sim = Simulator()
         s = Series(sim, "m", (("blade", 3), ("site", "dr")), 1.0, 8)
@@ -174,6 +209,15 @@ class TestSeriesRegistry:
         assert len(reg.match("lat", op="read")) == 2
         assert len(reg.match("lat", blade=1, op="write")) == 1
         assert reg.match("lat", tenant="hpc") == []
+
+    def test_match_sees_series_created_after_a_lookup(self):
+        reg = SeriesRegistry(Simulator())
+        reg.series("lat", site="b")
+        assert len(reg.match("lat")) == 1
+        reg.series("lat", site="a")
+        reg.get("lat", site="c")               # a lookup creates nothing
+        assert [s.labels for s in reg.match("lat")] == [
+            (("site", "a"),), (("site", "b"),)]
 
     def test_snapshot_keys_carry_labels(self):
         reg = SeriesRegistry(Simulator())
