@@ -120,16 +120,13 @@ class CacheCluster:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _hit_time(self) -> float:
-        return self._hit_delay
-
     def _obs(self) -> "Observability | None":
         """The sim's observability bundle, wiring the coherence directory's
         observer into the event log on first use.
 
-        Hot paths read ``self.sim.obs`` directly and only fall through to
-        this method when observability is on, keeping the disabled path to
-        a single attribute test.
+        Callers read ``self.sim.obs`` first and only call this when
+        observability is on; with it off they trace into the shared no-op
+        ``NULL_SPAN`` instead.
         """
         obs = self.sim.obs
         if obs is not None and self.directory.observer is None:
@@ -180,10 +177,32 @@ class CacheCluster:
             return False
         return self.integrity.corrupt("cache", (blade_id, key), 0, kind)
 
-    def _note_cache_repair(self, tier: str, started: float) -> None:
+    def _has_clean_peer(self, blade_id: int, key: BlockKey,
+                        candidates: set[int]) -> bool:
+        """Whether a live blade in ``candidates``, other than
+        ``blade_id``, holds an undamaged copy of ``key``."""
+        return any(bid != blade_id and bid in self.caches
+                   and self.blades[bid].is_up
+                   and self.caches[bid].entry(key) is not None
+                   and not self.caches[bid].is_poisoned(key)
+                   for bid in candidates)
+
+    def _cache_repaired(self, blade_id: int, key: BlockKey, tier: str,
+                        started: float) -> None:
+        """The damaged copy on ``blade_id`` was made whole from ``tier``."""
+        self.caches[blade_id].unpoison(key)
+        self.integrity.clear("cache", (blade_id, key))
+        self.integrity.note_repaired("cache", (blade_id, key))
         self.metrics.counter(f"integrity.cache_repaired.{tier}").incr()
         self.metrics.tally("integrity.repair_latency").record(
             self.sim.now - started)
+
+    def _cache_unrepairable(self, blade_id: int, key: BlockKey) -> None:
+        """No good copy of ``key`` is left anywhere: clear the poison on
+        ``blade_id`` and count the loss."""
+        self.integrity.note_unrepairable("cache", (blade_id, key))
+        self.caches[blade_id].unpoison(key)
+        self.metrics.counter("integrity.cache_unrepairable").incr()
 
     def _repair_cached(self, blade_id: int, key: BlockKey):
         """A local hit failed verification: fetch a good copy in place.
@@ -192,37 +211,21 @@ class CacheCluster:
         peer copy over the interconnect, else a disk refill.  Dirty data
         with no clean replica anywhere has no good copy left: counted
         unrepairable (the corrupt bytes keep serving, loudly accounted).
-        Returns the repairing tier name.
         """
-        integ = self.integrity
-        cache = self.caches[blade_id]
         t0 = self.sim.now
-        integ.note_detected("cache", (blade_id, key))
+        self.integrity.note_detected("cache", (blade_id, key))
         self.metrics.counter("integrity.cache_detected").incr()
         entry_dir = self.directory.entry(key)
-        source = None
-        if entry_dir is not None:
-            for bid in sorted(entry_dir.holders()):
-                if bid != blade_id and bid in self.caches \
-                        and self.blades[bid].is_up \
-                        and self.caches[bid].entry(key) is not None \
-                        and not self.caches[bid].is_poisoned(key):
-                    source = bid
-                    break
-        if source is not None:
+        if entry_dir is not None and self._has_clean_peer(
+                blade_id, key, entry_dir.holders()):
             yield self.interconnect.transfer(self.block_size)
-            cache.unpoison(key)
-            integ.clear("cache", (blade_id, key))
-            integ.note_repaired("cache", (blade_id, key))
-            self._note_cache_repair("replica", t0)
-            return "replica"
-        entry = cache.entry(key)
+            self._cache_repaired(blade_id, key, "replica", t0)
+            return
+        entry = self.caches[blade_id].entry(key)
         if entry is not None and entry.state is not BlockState.SHARED \
                 and entry_dir is not None and entry_dir.dirty:
-            integ.note_unrepairable("cache", (blade_id, key))
-            cache.unpoison(key)
-            self.metrics.counter("integrity.cache_unrepairable").incr()
-            return "unrepairable"
+            self._cache_unrepairable(blade_id, key)
+            return
         try:
             yield from retry_call(
                 self.sim, lambda: self._backing(key, self.block_size, "read"),
@@ -230,15 +233,9 @@ class CacheCluster:
         except FAULT_EXCEPTIONS as exc:
             if not is_fault(exc):
                 raise
-            integ.note_unrepairable("cache", (blade_id, key))
-            cache.unpoison(key)
-            self.metrics.counter("integrity.cache_unrepairable").incr()
-            return "unrepairable"
-        cache.unpoison(key)
-        integ.clear("cache", (blade_id, key))
-        integ.note_repaired("cache", (blade_id, key))
-        self._note_cache_repair("disk", t0)
-        return "disk"
+            self._cache_unrepairable(blade_id, key)
+            return
+        self._cache_repaired(blade_id, key, "disk", t0)
 
     def _repair_backing(self, key: BlockKey, corruption):
         """Escalate a backing-read verification miss through the chain,
@@ -304,79 +301,9 @@ class CacheCluster:
         tier: ``"local"``, ``"remote"`` or ``"disk"``.  ``parent`` is an
         optional tracing span to nest under (request-following)."""
         done = Event(self.sim)
-        if self.sim.obs is None:
-            gen = self._read_fast(blade_id, key, priority, done)
-        else:
-            gen = self._read(blade_id, key, priority, done, parent)
-        self.sim.process(gen, name="cache.read")
+        self.sim.process(self._read(blade_id, key, priority, done, parent),
+                         name="cache.read")
         return done
-
-    def _read_fast(self, blade_id: int, key: BlockKey, priority: int,
-                   done: Event):
-        """Untraced read path: same yield sequence as :meth:`_read`, with
-        the span plumbing (context managers, NULL_SPAN churn) stripped so
-        the observability-off configuration allocates nothing per lookup
-        beyond the I/O events themselves."""
-        blade = self.blades[blade_id]
-        cache = self.caches[blade_id]
-        integ = self.integrity
-        yield from blade.execute(blade.io_cpu_cost(self.block_size))
-        if cache.lookup(key) is not None:
-            if integ is not None and cache.is_poisoned(key):
-                # Checksum miss on the resident copy: repair in place
-                # (clean peer replica, else disk) before serving.
-                yield from self._repair_cached(blade_id, key)
-            self._ctr_local_hit.incr()
-            yield self.sim.timeout(self._hit_delay)
-            done.succeed("local")
-            return
-        actions = self.directory.acquire_shared(blade_id, key)
-        source = actions.fetch_from
-        if source is not None and source in self.blades \
-                and self.blades[source].is_up:
-            if integ is not None and self.caches[source].is_poisoned(key):
-                # The peer's copy fails its fill digest: refuse to
-                # spread the bad bytes; fall through to a disk fill.
-                integ.note_detected("cache", (source, key))
-                self.metrics.counter("integrity.peer_fill_rejected").incr()
-            else:
-                self._ctr_remote_hit.incr()
-                yield self.interconnect.transfer(self.block_size)
-                if integ is not None and self._wire_corrupt_pending > 0:
-                    # In-flight damage caught by the transfer digest:
-                    # one retransmit makes the fill whole.
-                    self._wire_corrupt_pending -= 1
-                    integ.wire_event("wire_corrupt", detected=True,
-                                     repaired=True)
-                    self.metrics.counter("integrity.fill_retransmits").incr()
-                    yield self.interconnect.transfer(self.block_size)
-                cache.insert(key, BlockState.SHARED, priority, self.sim.now)
-                done.succeed("remote")
-                return
-        self._ctr_miss.incr()
-        try:
-            yield from retry_call(
-                self.sim, lambda: self._backing(key, self.block_size, "read"),
-                self.retry_policy, component="cache.pool")
-        except FAULT_EXCEPTIONS as exc:
-            # Only simulated failures are a miss-fill outcome; a wrapped
-            # TypeError/KeyError is a model bug and must crash the run.
-            if not is_fault(exc):
-                raise
-            corruption = (find_corruption(exc)
-                          if self.repair_chain is not None else None)
-            if corruption is not None:
-                repaired = yield from self._repair_backing(key, corruption)
-                if repaired:
-                    cache.insert(key, BlockState.SHARED, priority,
-                                 self.sim.now)
-                    done.succeed("disk")
-                    return
-            self.metrics.counter("read.backing_errors").incr()
-            done.fail(exc)
-            return
-        cache.insert(key, BlockState.SHARED, priority, self.sim.now)
-        done.succeed("disk")
 
     def _latency_series(self, obs: "Observability", op: str, blade_id: int,
                         tier: str):
@@ -398,12 +325,14 @@ class CacheCluster:
                 yield from blade.execute(blade.io_cpu_cost(self.block_size))
             if cache.lookup(key) is not None:
                 if integ is not None and cache.is_poisoned(key):
+                    # Checksum miss on the resident copy: repair in place
+                    # (clean peer replica, else disk) before serving.
                     span.annotate(integrity="repair")
                     with span.child("integrity.repair_cached"):
                         yield from self._repair_cached(blade_id, key)
                 self._ctr_local_hit.incr()
                 span.annotate(tier="local")
-                yield self.sim.timeout(self._hit_time())
+                yield self.sim.timeout(self._hit_delay)
                 if obs is not None:
                     self._latency_series(obs, "read", blade_id,
                                          "local").record(self.sim.now - t0)
@@ -414,6 +343,8 @@ class CacheCluster:
             if source is not None and source in self.blades \
                     and self.blades[source].is_up:
                 if integ is not None and self.caches[source].is_poisoned(key):
+                    # The peer's copy fails its fill digest: refuse to
+                    # spread the bad bytes; fall through to a disk fill.
                     integ.note_detected("cache", (source, key))
                     self.metrics.counter(
                         "integrity.peer_fill_rejected").incr()
@@ -428,6 +359,8 @@ class CacheCluster:
                     with span.child("cache.peer_fetch", source=source):
                         yield self.interconnect.transfer(self.block_size)
                     if integ is not None and self._wire_corrupt_pending > 0:
+                        # In-flight damage caught by the transfer digest:
+                        # one retransmit makes the fill whole.
                         self._wire_corrupt_pending -= 1
                         integ.wire_event("wire_corrupt", detected=True,
                                          repaired=True)
@@ -452,8 +385,10 @@ class CacheCluster:
                         lambda: self._backing(key, self.block_size, "read"),
                         self.retry_policy, component="cache.pool")
             except FAULT_EXCEPTIONS as exc:
+                # Only simulated failures are a miss-fill outcome; a wrapped
+                # TypeError/KeyError is a model bug and must crash the run.
                 if not is_fault(exc):
-                    raise  # programming error wrapped in a barrier: crash
+                    raise
                 corruption = (find_corruption(exc)
                               if self.repair_chain is not None else None)
                 if corruption is not None:
@@ -525,7 +460,7 @@ class CacheCluster:
                 with span.child("coherence.invalidate",
                                 victims=len(actions.invalidate)):
                     yield self.sim.timeout(self.interconnect.latency)
-            yield self.sim.timeout(self._hit_time())
+            yield self.sim.timeout(self._hit_delay)
             cache.insert(key, BlockState.MODIFIED, priority, self.sim.now)
             if n > 1:
                 try:
@@ -565,35 +500,21 @@ class CacheCluster:
         """Destage is the last verification point before corrupt bytes
         would become the durable truth: a poisoned owner copy is repaired
         from a clean pinned replica, or loudly counted unrepairable."""
-        integ = self.integrity
         owner = entry_dir.owner
         if owner is None or owner not in self.caches \
                 or not self.caches[owner].is_poisoned(key):
             return
         t0 = self.sim.now
-        integ.note_detected("cache", (owner, key))
+        self.integrity.note_detected("cache", (owner, key))
         self.metrics.counter("integrity.cache_detected").incr()
-        source = None
-        for bid in sorted(entry_dir.replica_holders):
-            if bid != owner and bid in self.caches \
-                    and self.blades[bid].is_up \
-                    and self.caches[bid].entry(key) is not None \
-                    and not self.caches[bid].is_poisoned(key):
-                source = bid
-                break
-        if source is not None:
+        if self._has_clean_peer(owner, key, entry_dir.replica_holders):
             yield self.interconnect.transfer(self.block_size)
-            self.caches[owner].unpoison(key)
-            integ.clear("cache", (owner, key))
-            integ.note_repaired("cache", (owner, key))
-            self._note_cache_repair("replica", t0)
+            self._cache_repaired(owner, key, "replica", t0)
         else:
             # Dirty data with every copy damaged: nothing clean exists
             # anywhere, so the write proceeds (the alternative is losing
             # the block outright) and the loss is accounted.
-            integ.note_unrepairable("cache", (owner, key))
-            self.caches[owner].unpoison(key)
-            self.metrics.counter("integrity.cache_unrepairable").incr()
+            self._cache_unrepairable(owner, key)
 
     def _destage(self, key: BlockKey, done: Event):
         entry = self.directory.entry(key)
@@ -728,9 +649,8 @@ class CacheCluster:
     def hit_ratio(self) -> float:
         """Fraction of reads served from cache (local or peer); 1.0 when
         no reads have happened yet."""
-        hits = (self.metrics.counter("read.local_hit").value
-                + self.metrics.counter("read.remote_hit").value)
-        total = hits + self.metrics.counter("read.miss").value
+        hits = self._ctr_local_hit.value + self._ctr_remote_hit.value
+        total = hits + self._ctr_miss.value
         return hits / total if total else 1.0
 
     def health(self) -> ComponentHealth:

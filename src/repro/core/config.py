@@ -30,8 +30,8 @@ class SystemConfig:
     policy_limits: PolicyLimits = field(default_factory=PolicyLimits)
     name: str = "netstorage"
     #: Attach tracing + event log + management-plane telemetry at build
-    #: time (see repro.obs).  Off by default: the data path then pays only
-    #: a per-operation ``sim.obs is None`` test.
+    #: time (see repro.obs).  Off by default: the data path then traces
+    #: into the shared no-op span and records nothing.
     observability: bool = False
     #: End-to-end data integrity (see repro.integrity): disks stamp/verify
     #: block checksums, transports and fills verify digests, and the

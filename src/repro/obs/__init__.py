@@ -21,8 +21,9 @@ Coordinated views of a running simulation (see docs/observability.md):
   kernel is useful with the model-level layers off).
 
 Instrumented subsystems look for an :class:`Observability` bundle on
-``sim.obs`` — ``None`` (the default) keeps hot paths at a single attribute
-test, so an uninstrumented run costs nothing measurable.
+``sim.obs``.  With ``None`` (the default) they send span calls to the
+shared no-op :data:`~repro.obs.tracer.NULL_SPAN` and skip log and series
+emission; the end-to-end cost of that is measured by ``benchmarks/perf``.
 
 >>> from repro.obs import enable
 >>> obs = enable(sim)                 # sim.obs is now live

@@ -109,10 +109,12 @@ class Series:
     bucket math uses integer bucket indexes (``floor(now / interval)``)
     so alignment is exact and runs are reproducible.
 
-    ``_slots[i]`` is the slot number of ``_ring[i]``,
-    ``int(start / interval)``; both lists are ordered oldest first and
-    hold at most ``capacity`` entries.  A flush mid-slot followed by more
-    records in that slot leaves two windows with one slot number.
+    ``_slots[i]`` is the slot number of ``_ring[i]``: the bucket index
+    it was recorded under, never re-derived from the float ``start``
+    (for intervals such as 0.1 that can truncate into the slot before).
+    Both lists are ordered oldest first and hold at most ``capacity``
+    entries.  A flush mid-slot followed by more records in that slot
+    leaves two windows with one slot number.
     """
 
     __slots__ = ("name", "labels", "kind", "interval", "sim", "capacity",
@@ -178,7 +180,7 @@ class Series:
         start = self._open_idx * self.interval
         self._ring.append(Window(start, len(samples), sum(samples),
                                  samples[0], samples[-1], _p99(samples)))
-        self._slots.append(int(start / self.interval))
+        self._slots.append(self._open_idx)
         self._open_samples = []
 
     def flush(self) -> None:

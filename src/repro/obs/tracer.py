@@ -15,8 +15,8 @@ or ``tracer.span(..., parent=...)``).  Each root span opens its own track
 (``tid``) and descendants inherit it, which is exactly what the Chrome
 viewer needs to draw nested flame charts for concurrent requests.
 
-When tracing is disabled, :data:`NULL_SPAN` absorbs every call so hot paths
-pay only an attribute test and two no-op calls.
+When tracing is disabled, :data:`NULL_SPAN` absorbs every call: no span is
+allocated or recorded.
 """
 
 from __future__ import annotations

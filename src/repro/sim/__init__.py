@@ -20,7 +20,6 @@ from .process import Interrupt, Process
 from .replications import (
     ReplicationSummary,
     replicate,
-    replicate_parallel,
     run_replications,
     summarize,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "Timeout",
     "is_fault",
     "replicate",
-    "replicate_parallel",
     "run_replications",
     "stable_hash",
     "summarize",

@@ -6,7 +6,7 @@ provides the Student-t interval so EXPERIMENTS.md can state uncertainty
 honestly instead of single-run point estimates.
 
 Wide sweeps (many seeds x expensive runs) can fan out across cores with
-:func:`replicate_parallel` / ``run_replications(..., max_workers=N)``.
+``replicate(..., max_workers=N)`` / ``run_replications(..., max_workers=N)``.
 Each replication still runs a fully deterministic simulation for its seed,
 and results are merged back in seed order, so the parallel runner produces
 byte-for-byte the same summary as the serial one.
@@ -107,15 +107,3 @@ def replicate(run: Callable[[int], float], seeds: Sequence[int],
         raise ValueError("need at least one seed")
     return summarize(run_replications(run, seeds, max_workers=max_workers),
                      confidence)
-
-
-def replicate_parallel(run: Callable[[int], float], seeds: Sequence[int],
-                       confidence: float = 0.95,
-                       max_workers: int | None = None) -> ReplicationSummary:
-    """:func:`replicate` across a process pool (defaults to one worker per
-    seed, capped at the CPU count)."""
-    if max_workers is None:
-        import os
-
-        max_workers = min(len(seeds), os.cpu_count() or 1)
-    return replicate(run, seeds, confidence, max_workers=max_workers)

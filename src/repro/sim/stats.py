@@ -165,7 +165,6 @@ class MetricSet:
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self._tallies: dict[str, Tally] = {}
-        self._levels: dict[str, TimeWeighted] = {}
         self._counters: dict[str, Counter] = {}
         self._rates: dict[str, RateMeter] = {}
 
@@ -174,12 +173,6 @@ class MetricSet:
         if name not in self._tallies:
             self._tallies[name] = Tally()
         return self._tallies[name]
-
-    def level(self, name: str) -> TimeWeighted:
-        """The named TimeWeighted level, created on first use."""
-        if name not in self._levels:
-            self._levels[name] = TimeWeighted(self.sim)
-        return self._levels[name]
 
     def counter(self, name: str) -> Counter:
         """The named Counter, created on first use."""
@@ -197,8 +190,7 @@ class MetricSet:
         """Flatten every collector into a name→value report.
 
         Tallies report mean/count always, plus min/max/std and the
-        :data:`SNAPSHOT_PERCENTILES` (p50/p95/p99) once they have data;
-        time-weighted levels add their observed peak.
+        :data:`SNAPSHOT_PERCENTILES` (p50/p95/p99) once they have data.
         """
         out: dict[str, float] = {}
         for name, t in self._tallies.items():
@@ -211,9 +203,6 @@ class MetricSet:
                 for q, v in zip(self.SNAPSHOT_PERCENTILES,
                                 t.percentiles(list(self.SNAPSHOT_PERCENTILES))):
                     out[f"{name}.p{q:g}"] = v
-        for name, lv in self._levels.items():
-            out[f"{name}.twa"] = lv.mean()
-            out[f"{name}.peak"] = lv.max
         for name, c in self._counters.items():
             out[name] = c.value
         for name, r in self._rates.items():

@@ -38,11 +38,14 @@ def ref_slot_stats(series, t0, t1, stat):
     first = int(t0 / series.interval)
     last = int(t1 / series.interval)
     ring = series.windows()
-    by_idx = {int(w.start / series.interval): w for w in ring}
+    # A window starts at bucket * interval, so rounding recovers its
+    # bucket number exactly; truncating can land one slot early.
+    by_idx = {round(w.start / series.interval): w for w in ring}
     level = series.kind == "level"
     carried = None
     if level:
-        prior = [w for w in ring if int(w.start / series.interval) < first]
+        prior = [w for w in ring
+                 if round(w.start / series.interval) < first]
         if prior:
             carried = prior[-1].max
     for idx in range(first, last):
@@ -245,6 +248,29 @@ def test_split_slots_and_eviction_against_rescan():
         assert got == want
     ref_mon, _reg, _ = replay(1.0, 3, steps, slos, reference=True)
     assert mon.alerts
+    assert ([a.as_dict() for a in mon.alerts]
+            == [a.as_dict() for a in ref_mon.alerts])
+
+
+def test_inexact_interval_against_rescan():
+    """At interval 0.1 a window's float start truncates into the slot
+    before its bucket for buckets such as 43, 81, 86 and 91; every slot
+    must still be counted under its own bucket number."""
+    slos = [ThresholdSLO("down", 0.9, series="down", bound=0.5, stat="min",
+                         windows=(BurnWindow(2.0, 6.0, 1.0, "page"),)),
+            ThresholdSLO("lat", 0.9, series="lat", bound=0.5, stat="max",
+                         windows=(BurnWindow(1.0, 4.0, 1.0, "page"),))]
+    steps = [("record", 0, 0.0, 0.5)]
+    for k in range(1, 100):
+        v = float(k % 2)
+        steps += [("record", 2, v, 1.0), ("record", 0, 1.0 - v, 0.0)]
+        if k % 3 == 0:
+            steps.append(("eval", 0, 0.0, 0.0))
+    mon, _reg, queries = replay(0.1, 200, steps, slos, reference=False)
+    assert len({got for *_q, got, _want in queries}) > 2
+    for _name, _t0, _t1, got, want in queries:
+        assert got == want
+    ref_mon, _reg, _ = replay(0.1, 200, steps, slos, reference=True)
     assert ([a.as_dict() for a in mon.alerts]
             == [a.as_dict() for a in ref_mon.alerts])
 

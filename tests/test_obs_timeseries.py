@@ -98,6 +98,20 @@ class TestSeries:
         assert s.range_sum(0.0, 4.0) == 7.0
         assert s.range_count(2.0, 10.0) == 2
 
+    def test_window_at_finds_every_bucket_of_an_inexact_interval(self):
+        # 0.1 has no exact binary form: the slot of a window is its bucket
+        # number itself, never re-derived from the window's float start.
+        sim, s = make_series(interval=0.1, capacity=2000)
+        for k in range(2000):
+            sim.now = (k + 0.5) * 0.1
+            s.record(float(k))
+        sim.now = 2000 * 0.1
+        for k in range(2000):
+            w = s.window_at((k + 0.5) * 0.1)
+            assert w is not None and w.total == float(k), k
+        assert s.window_at(9.15).total == 91.0
+        assert list(s.slot_stats(9.15, 9.35, "max")) == [91.0, 92.0]
+
     def test_slot_stats_sample_skips_empty_slots(self):
         sim, s = make_series()
         sim.now = 0.0

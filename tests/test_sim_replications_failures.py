@@ -10,7 +10,6 @@ from repro.sim import (
     ReplicationSummary,
     Simulator,
     replicate,
-    replicate_parallel,
     run_replications,
     summarize,
 )
@@ -164,7 +163,7 @@ class TestParallelReplications:
 
     def test_replicate_parallel_summary_identical(self):
         seeds = [3, 1, 4, 1, 5]
-        assert (replicate_parallel(_replication_body, seeds)
+        assert (replicate(_replication_body, seeds, max_workers=len(seeds))
                 == replicate(_replication_body, seeds))
 
     def test_model_error_propagates_from_parallel_run(self):

@@ -119,9 +119,10 @@ def test_metric_set_snapshot():
     m.tally("lat").record(0.5)
     m.counter("hits").incr(3)
     m.rate("tput")  # create at t=0 so elapsed time is measured from run start
+    depth = TimeWeighted(sim)
 
     def proc():
-        m.level("depth").record(4.0)
+        depth.record(4.0)
         yield sim.timeout(1.0)
         m.rate("tput").record(800.0)
 
@@ -131,7 +132,7 @@ def test_metric_set_snapshot():
     assert snap["lat.mean"] == 0.5
     assert snap["lat.count"] == 1
     assert snap["hits"] == 3
-    assert snap["depth.twa"] == pytest.approx(4.0)
+    assert depth.mean() == pytest.approx(4.0)
     assert snap["tput.bytes_per_s"] == pytest.approx(800.0)
 
 
@@ -148,8 +149,9 @@ def test_snapshot_includes_spread_and_percentiles():
     t = m.tally("lat")
     for v in range(1, 101):
         t.record(float(v))
-    m.level("depth").record(3.0)
-    m.level("depth").record(1.0)
+    depth = TimeWeighted(sim)
+    depth.record(3.0)
+    depth.record(1.0)
     snap = m.snapshot()
     assert snap["lat.min"] == 1.0
     assert snap["lat.max"] == 100.0
@@ -157,7 +159,7 @@ def test_snapshot_includes_spread_and_percentiles():
     assert snap["lat.p50"] == pytest.approx(50.5)
     assert snap["lat.p95"] == pytest.approx(95.05)
     assert snap["lat.p99"] == pytest.approx(99.01)
-    assert snap["depth.peak"] == 3.0
+    assert depth.max == 3.0
     # Empty tallies stay minimal: no min/max noise before data arrives.
     m.tally("unused")
     snap2 = m.snapshot()
