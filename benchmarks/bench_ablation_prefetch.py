@@ -45,7 +45,7 @@ def run_depth(depth: int) -> tuple[float, float]:
 
     p = sim.process(reader())
     sim.run(until=p)
-    local = dam.metrics.counter("read.local").value
+    local = dam.local_reads
     return latency.mean(), local / FILE_BLOCKS
 
 

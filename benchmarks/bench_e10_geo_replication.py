@@ -110,7 +110,7 @@ def test_e10b_file_level_vs_volume_level_traffic(benchmark):
         p = sim.process(day())
         sim.run(until=p)
         sim.run(until=sim.now + 3600.0)  # let the async pump drain
-        file_level_bytes = rep.metrics.rate("wan.replication_bytes").total
+        file_level_bytes = rep.replication_bytes
 
         sim2 = Simulator()
         mirror = MirrorSplitReplicator(sim2, volume_bytes=volume,

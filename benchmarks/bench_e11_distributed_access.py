@@ -70,8 +70,8 @@ def distributed_run():
 
     p = sim.process(replay())
     sim.run(until=p)
-    local = dam.metrics.counter("read.local").value
-    remote = dam.metrics.counter("read.remote").value
+    local = dam.local_reads
+    remote = dam.remote_reads
     return latency.mean(), local / (local + remote)
 
 

@@ -115,7 +115,7 @@ def run_policy(policy, accesses, faults=False):
             "wan_mib": wan_bytes / mib(1),
             "failed": failed,
             "spare_mib": spare / mib(1),
-            "rerouted": dam.metrics.counter("select.rerouted").value}
+            "rerouted": dam.rerouted}
 
 
 def run_comparison(accesses):

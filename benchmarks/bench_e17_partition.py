@@ -203,8 +203,7 @@ def run_failover_fencing():
         "fenced": sorted(rep.leases.fenced_holders(path)),
         "readmitted": "a" in gf.copies
         and gf.site_versions.get("a") == gf.version,
-        "stale_counter": rep.leases.metrics.counter(
-            "lease.stale_writes_rejected").value,
+        "stale_counter": rep.leases.stale_writes_rejected,
     })
     return out
 

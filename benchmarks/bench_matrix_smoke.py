@@ -11,12 +11,16 @@ replication runner, and asserts:
 * every cell completed client iterations, and the fault-campaign cells
   actually armed their faults;
 * fingerprints are deterministic: a serial re-run reproduces the
-  parallel sweep byte-for-byte.
+  parallel sweep byte-for-byte;
+* every cell reproduces its fingerprint in the committed golden
+  ``matrix_smoke.fingerprints.json``, and a cell that drifted is named.
 
 ``--out FILE`` writes the name → fingerprint map as sorted JSON; CI runs
 this gate on two Python versions and diffs the two files — the
 fingerprints must match across interpreters, which is the repo-wide
-determinism bar applied to whole declared scenarios.
+determinism bar applied to whole declared scenarios.  A change that
+means to move fingerprints regenerates the golden with
+``--out benchmarks/matrix_smoke.fingerprints.json``.
 
 Standalone (no pytest): ``PYTHONPATH=src python benchmarks/bench_matrix_smoke.py``.
 """
@@ -32,6 +36,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.plan import MatrixSpec, run_matrix  # noqa: E402
 
 MATRIX_PATH = os.path.join(os.path.dirname(__file__), "matrix_smoke.json")
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__),
+                           "matrix_smoke.fingerprints.json")
 
 
 def load_matrix() -> MatrixSpec:
@@ -57,6 +63,13 @@ def run_gate(max_workers: int | None = None):
         if spec.faults is None and result.failed:
             problems.append(
                 f"{result.name}: {result.failed} failures without a campaign")
+    with open(GOLDEN_PATH) as fh:
+        golden = json.load(fh)
+    got = fingerprint_doc(results)
+    for name in sorted(golden.keys() | got.keys()):
+        if golden.get(name) != got.get(name):
+            problems.append(f"{name}: fingerprint drifted from "
+                            f"{os.path.basename(GOLDEN_PATH)}")
     return results, problems
 
 

@@ -28,7 +28,9 @@ HORIZON = 300.0          # five simulated minutes
 CRASH_AT, CRASH_FOR = 100.0, 60.0
 
 sim = Simulator()
-sim.attach_profiler()    # kernel self-profile rides along for free
+# The kernel self-profile is not free: the profiler observes every
+# dispatched event, a per-event cost on top of the run.
+sim.attach_profiler()
 
 system = NetStorageSystem(sim, SystemConfig(
     blade_count=4, disk_count=16, disk_capacity=mib(512), seed=7))

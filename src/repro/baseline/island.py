@@ -16,7 +16,6 @@ from ..cache.block_cache import BlockCache, BlockState
 from ..hardware.disk import Disk
 from ..sim.events import Event
 from ..sim.resources import Resource
-from ..sim.stats import MetricSet
 from ..sim.units import gib, us
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,7 +40,7 @@ class StorageIsland:
         self.controller = Resource(sim, capacity=controller_cores)
         self.cpu_per_io = cpu_per_io
         self.disk_latency = disk_latency
-        self.metrics = MetricSet(sim)
+        self.ops = 0
         self._rr_disk = 0
 
     def read(self, key: Hashable) -> Event:
@@ -56,7 +55,7 @@ class StorageIsland:
         req = self.controller.request()
         yield req
         try:
-            self.metrics.counter("ops").incr()
+            self.ops += 1
             yield self.sim.timeout(self.cpu_per_io)
             hit = self.cache.lookup(key) is not None
             if hit:
@@ -111,7 +110,7 @@ class IslandFarm:
 
     def imbalance(self) -> float:
         """Peak-to-mean ops ratio across islands (hot-spot indicator)."""
-        counts = [i.metrics.counter("ops").value for i in self.islands]
+        counts = [i.ops for i in self.islands]
         total = sum(counts)
         if total == 0:
             return 1.0

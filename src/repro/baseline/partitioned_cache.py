@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Hashable
 from ..cache.block_cache import BlockCache, BlockState
 from ..hardware.blade import ControllerBlade
 from ..sim.events import Event
-from ..sim.stats import MetricSet
 from ..sim.units import us
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,7 +40,6 @@ class PartitionedCacheArray:
                                    name=f"{b.name}.pcache")
             for b in blades
         }
-        self.metrics = MetricSet(sim)
         self.ops_by_blade: dict[int, int] = {b.blade_id: 0 for b in blades}
 
     def home_of(self, key: Hashable) -> ControllerBlade:
@@ -63,11 +61,9 @@ class PartitionedCacheArray:
         yield from blade.execute(blade.io_cpu_cost(self.block_size))
         cache = self.caches[blade.blade_id]
         if cache.lookup(key) is not None:
-            self.metrics.counter("read.hit").incr()
             yield self.sim.timeout(self.block_size / 3.2e9 + us(5))
             done.succeed("cache")
             return
-        self.metrics.counter("read.miss").incr()
         yield self.backing_read(key, self.block_size)
         cache.insert(key, BlockState.SHARED)
         done.succeed("disk")

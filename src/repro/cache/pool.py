@@ -86,7 +86,7 @@ class CacheCluster:
         self.interconnect = FairShareLink(sim, interconnect_bandwidth,
                                           interconnect_latency,
                                           name="intercluster")
-        self.metrics = MetricSet(sim)
+        self.metrics = MetricSet()
         # Hot-path precomputation: the hit service time never changes, and
         # resolving counters by name per lookup is a dict probe + branch we
         # can pay once here instead of per I/O.

@@ -325,18 +325,24 @@ class FaultInjector:
 
         self.sim.call_in(poll, check)
 
+    def bind_wan(self, network, dr) -> "FaultInjector":
+        """Bind every site of a :class:`WanNetwork` (loss runs ``dr``'s
+        coordinated ``fail_site``), every WAN link under its own name,
+        and PARTITION faults across the network."""
+        for name in sorted(network.sites):
+            site = network.sites[name]
+            self.bind_site(site, on_loss=lambda s=site: dr.fail_site(s))
+        for u, v in sorted(network.graph.edges):
+            self.bind_link(network.graph.edges[u, v]["link"])
+        return self.bind_partitions(network)
+
     def bind_metacenter(self, mc: "MetadataCenter") -> "FaultInjector":
-        """Bind every site (DR-coordinated loss), WAN link, and per-site
-        system of a metadata center.  Per-site targets are prefixed with
-        the site name (``east.blade0``); WAN links use their own names."""
-        for name in sorted(mc.network.sites):
-            site = mc.network.sites[name]
-            self.bind_site(site, on_loss=lambda s=site: mc.dr.fail_site(s))
-        for u, v in sorted(mc.network.graph.edges):
-            self.bind_link(mc.network.graph.edges[u, v]["link"])
+        """:meth:`bind_wan` over a metadata center's network, plus every
+        per-site system, its targets prefixed with the site name
+        (``east.blade0``)."""
+        self.bind_wan(mc.network, mc.dr)
         for name in sorted(mc.systems):
             self.bind_system(mc.systems[name], prefix=f"{name}.")
-        self.bind_partitions(mc.network)
         return self
 
     # -- arming ----------------------------------------------------------------

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 from ..obs.telemetry import ComponentHealth, HealthState
 from ..sim.faults import SimulatedFault
-from ..sim.stats import MetricSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.telemetry import ManagementPlane
@@ -64,7 +63,7 @@ class LeaseAuthority:
         #: reconciled back in.  Non-empty means a split-brain window is
         #: still open somewhere (health DEGRADED).
         self.fenced: dict[str, set[str]] = {}
-        self.metrics = MetricSet(sim)
+        self.stale_writes_rejected = 0
 
     # -- tenure control -------------------------------------------------------
 
@@ -85,7 +84,6 @@ class LeaseAuthority:
         lease = self.leases[path]
         if lease.holder != new_holder:
             self.fenced.setdefault(path, set()).add(lease.holder)
-            self.metrics.counter("lease.promotions").incr()
             if self.sim.obs is not None:
                 self.sim.obs.log.warning(
                     "geo.lease", "lease_promoted", path=path,
@@ -126,7 +124,7 @@ class LeaseAuthority:
             # epochs — that is a model bug, not an injected fault.
             raise ValueError(f"write epoch {epoch} ahead of lease epoch "
                              f"{lease.epoch} for {path!r}")
-        self.metrics.counter("lease.stale_writes_rejected").incr()
+        self.stale_writes_rejected += 1
         if self.sim.obs is not None:
             self.sim.obs.log.warning(
                 "geo.lease", "stale_epoch_rejected", path=path,
@@ -161,8 +159,7 @@ class LeaseAuthority:
         return ComponentHealth("geo.lease", state, metrics={
             "leases": float(len(self.leases)),
             "open_fences": float(open_fences),
-            "stale_writes_rejected": float(
-                self.metrics.counter("lease.stale_writes_rejected").value),
+            "stale_writes_rejected": float(self.stale_writes_rejected),
         }, detail=detail)
 
     def register_health(self, mgmt: "ManagementPlane") -> None:

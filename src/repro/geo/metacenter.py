@@ -317,12 +317,10 @@ class MetadataCenter:
             for key, value in system.report().items():
                 out[f"{name}.{key}"] = value
         out["files"] = float(len(self.replicator.files))
-        out["wan.replication_bytes"] = self.replicator.metrics.rate(
-            "wan.replication_bytes").total
+        out["wan.replication_bytes"] = self.replicator.replication_bytes
         if self.selection != "static":
             out["select.policy_cost"] = float(self.selection == "cost")
-            out["select.rerouted"] = float(
-                self.access.metrics.counter("select.rerouted").value)
+            out["select.rerouted"] = float(self.access.rerouted)
             history = getattr(self.access.selector, "history", None)
             if history is not None:
                 out["select.route_samples"] = float(history.samples)

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 
 from ..sim.events import Event
 from ..sim.faults import FAULT_EXCEPTIONS
-from ..sim.stats import MetricSet
 from .selection import ReplicaCatalog, ReplicaSelector, make_selector
 from .site import Site
 from .wan import NoRouteError, WanNetwork
@@ -84,7 +83,11 @@ class DistributedAccessManager:
         self.auto_replicate_threshold = auto_replicate_threshold
         self.prefetch_depth = prefetch_depth
         self.files: dict[str, FileResidency] = {}
-        self.metrics = MetricSet(sim)
+        self.local_reads = 0
+        self.remote_reads = 0
+        #: Candidates skipped for having no route (reads and pins).
+        self.rerouted = 0
+        self.prefetched_blocks = 0
         self.catalog = ReplicaCatalog(access=self)
         if isinstance(selection, ReplicaSelector):
             self.selector = selection
@@ -125,7 +128,7 @@ class DistributedAccessManager:
         try:
             if block in local:
                 yield at.store_read(self.block_size)
-                self.metrics.counter("read.local").incr()
+                self.local_reads += 1
                 self.catalog.record_read(path, at.name, local=True)
                 done.succeed("local")
                 return
@@ -140,7 +143,7 @@ class DistributedAccessManager:
                                                 self.block_size)
                 except NoRouteError as exc:
                     no_route = exc
-                    self.metrics.counter("select.rerouted").incr()
+                    self.rerouted += 1
                     continue
                 source = candidate
                 break
@@ -154,7 +157,7 @@ class DistributedAccessManager:
             done.fail(exc)
             return
         local.add(block)
-        self.metrics.counter("read.remote").incr()
+        self.remote_reads += 1
         wan_seconds = self.sim.now - started
         self.catalog.record_read(path, at.name, local=False,
                                  wan_seconds=wan_seconds,
@@ -191,7 +194,7 @@ class DistributedAccessManager:
                     yield self.network.transfer(source, at, self.block_size)
                     yield at.store_write(self.block_size)
                     fr.resident[at.name].add(b)
-                    self.metrics.counter("prefetch.blocks").incr()
+                    self.prefetched_blocks += 1
             except FAULT_EXCEPTIONS:
                 return  # a fault *mid-transfer* abandons the prefetch
 
@@ -212,7 +215,6 @@ class DistributedAccessManager:
                     yield self.network.transfer(source, at, self.block_size)
                     yield at.store_write(self.block_size)
                     fr.resident[at.name].add(b)
-                    self.metrics.counter("autoreplicate.blocks").incr()
             except FAULT_EXCEPTIONS:
                 return  # a fault mid-transfer abandons the copy
 
@@ -244,7 +246,7 @@ class DistributedAccessManager:
                                                         self.block_size)
                         except NoRouteError as exc:
                             no_route = exc
-                            self.metrics.counter("select.rerouted").incr()
+                            self.rerouted += 1
                             continue
                         fetched = True
                         break
@@ -269,7 +271,6 @@ class DistributedAccessManager:
             raise ValueError(f"refusing to evict the last copy of {path!r}")
         fr.resident.pop(at.name, None)
         self.catalog.note_replica_evicted(path, at.name)
-        self.metrics.counter("evict.replicas").incr()
 
     def rebalance(self, path: str) -> list[str]:
         """§7.1 access-driven eviction: drop full replicas whose access

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 
 from ..obs.telemetry import ComponentHealth, HealthState
 from ..sim.faults import FAULT_EXCEPTIONS, is_fault
-from ..sim.stats import MetricSet
 from .replication import GeoReplicator
 from .wan import WanNetwork
 
@@ -45,7 +44,11 @@ class ReconcileDaemon:
         #: How long after an up-transition to let routing/pumps settle
         #: before sweeping (heals often arrive as bursts of link repairs).
         self.settle_delay = settle_delay
-        self.metrics = MetricSet(sim)
+        self.sweeps = 0
+        #: Forks discarded by last-writer-wins (acked bytes lost, counted).
+        self.conflicts = 0
+        self.orphans_recovered = 0
+        self.resynced_bytes = 0.0
         self.started = False
         self._pending = False
         self._sweeping = False
@@ -93,7 +96,7 @@ class ReconcileDaemon:
 
     def _sweep(self):
         rep = self.replicator
-        self.metrics.counter("reconcile.sweeps").incr()
+        self.sweeps += 1
         shipped_total = 0
         try:
             # Forks first: a recovered orphan mutates the lineage and fans
@@ -135,7 +138,7 @@ class ReconcileDaemon:
                 # Concurrent fork: the surviving lineage wrote later, so
                 # last-writer-wins discards the orphan — acked bytes are
                 # lost to a *counted, surfaced* conflict, never silently.
-                self.metrics.counter("reconcile.conflicts").incr()
+                self.conflicts += 1
                 if self.sim.obs is not None:
                     self.sim.obs.log.warning(
                         "geo.reconcile", "fork_conflict", path=path,
@@ -159,9 +162,8 @@ class ReconcileDaemon:
                 gf.last_write_at = self.sim.now
                 gf.site_versions[gf.home] = gf.version
                 shipped += orphan.nbytes
-                self.metrics.counter("reconcile.orphans_recovered").incr()
-                self.metrics.rate(
-                    "reconcile.resynced_bytes").record(orphan.nbytes)
+                self.orphans_recovered += 1
+                self.resynced_bytes += orphan.nbytes
                 if self.sim.obs is not None:
                     self.sim.obs.series.series(
                         "geo.reconcile.bytes", site=gf.home).record(
@@ -200,7 +202,7 @@ class ReconcileDaemon:
             return 0
         rep.clear_divergence(path, site_name, owed)
         gf.site_versions[site_name] = gf.version
-        self.metrics.rate("reconcile.resynced_bytes").record(owed)
+        self.resynced_bytes += owed
         if self.sim.obs is not None:
             self.sim.obs.series.series(
                 "geo.reconcile.bytes", site=site_name).record(float(owed))
@@ -219,30 +221,28 @@ class ReconcileDaemon:
 
     def summary(self) -> dict[str, float]:
         return {
-            "sweeps": self.metrics.counter("reconcile.sweeps").value,
-            "resynced_bytes": self.metrics.rate(
-                "reconcile.resynced_bytes").total,
-            "conflicts": self.metrics.counter("reconcile.conflicts").value,
-            "orphans_recovered": self.metrics.counter(
-                "reconcile.orphans_recovered").value,
+            "sweeps": self.sweeps,
+            "resynced_bytes": self.resynced_bytes,
+            "conflicts": self.conflicts,
+            "orphans_recovered": self.orphans_recovered,
         }
 
     def health(self) -> ComponentHealth:
         rep = self.replicator
         divergent = rep.total_divergence()
-        conflicts = self.metrics.counter("reconcile.conflicts").value
         if divergent or rep.orphans:
             state = HealthState.DEGRADED
             detail = (f"{divergent}B divergent, "
                       f"{len(rep.orphans)} open fork(s)")
         else:
             state = HealthState.UP
-            detail = f"{conflicts} conflict(s)" if conflicts else ""
+            detail = (f"{self.conflicts} conflict(s)" if self.conflicts
+                      else "")
         return ComponentHealth("geo.reconcile", state, metrics={
             "divergent_bytes": float(divergent),
             "open_forks": float(len(rep.orphans)),
-            "conflicts": float(conflicts),
-            "sweeps": float(self.metrics.counter("reconcile.sweeps").value),
+            "conflicts": float(self.conflicts),
+            "sweeps": float(self.sweeps),
         }, detail=detail)
 
     def register_health(self, mgmt: "ManagementPlane") -> None:

@@ -22,7 +22,6 @@ from ..obs.telemetry import ComponentHealth, HealthState
 from ..obs.tracer import NULL_SPAN
 from ..sim.events import Event
 from ..sim.faults import FAULT_EXCEPTIONS, is_fault
-from ..sim.stats import MetricSet
 from .lease import EpochFencingError, LeaseAuthority
 from .site import Site
 from .wan import WanNetwork
@@ -85,11 +84,15 @@ class GeoReplicator:
         self.integrity = integrity
         self.verify_payloads = verify_payloads
         self._corrupt_pending = 0
+        #: Payload hops resent after a destination digest miss.
         self.resends = 0
+        #: Site outages observed (edge-triggered, see _note_site_down).
+        self.down_transitions = 0
+        #: Bytes landed on remote sites by sync hops and the async pumps.
+        self.replication_bytes = 0.0
         self.files: dict[str, GeoFile] = {}
         #: bytes acked at the source but not yet at (path, target_site)
         self.async_backlog: dict[tuple[str, str], int] = defaultdict(int)
-        self.metrics = MetricSet(sim)
         #: Called as ``fn(path, site_name)`` whenever a site *newly*
         #: gains a complete, current copy (sync replication ack or an
         #: async backlog fully drained).  The metacenter's replica
@@ -177,7 +180,7 @@ class GeoReplicator:
         if site_name in self._down_sites:
             return
         self._down_sites.add(site_name)
-        self.metrics.counter("site.down_transitions").incr()
+        self.down_transitions += 1
         if self.sim.obs is not None:
             self.sim.obs.log.error("geo.replication", "site_down",
                                    site=site_name)
@@ -265,8 +268,6 @@ class GeoReplicator:
         # before it can serve reads again.
         self.orphans[(path, old_home)] = Orphan(
             orphan_bytes, gf.last_write_at, gf.version, gf.size)
-        if orphan_bytes > 0:
-            self.metrics.counter("failover.orphans").incr()
         # The ex-home's copy is a fenced fork, not a current replica:
         # selection must not read from it until reconciliation readmits it.
         gf.copies.discard(old_home)
@@ -294,7 +295,6 @@ class GeoReplicator:
             self.integrity.wire_event("wire_corrupt", detected=True,
                                       repaired=True)
             self.resends += 1
-            self.metrics.counter("wan.resends").incr()
             if self.sim.obs is not None:
                 self.sim.obs.log.warning("geo.replication",
                                          "payload_digest_miss",
@@ -328,7 +328,6 @@ class GeoReplicator:
                epoch: int | None = None):
         gf = self.files[path]
         origin = self.network.sites[gf.home]
-        start = self.sim.now
         obs = self.sim.obs
         mode = gf.policy.replication_mode
         span = (obs.tracer.span("geo.write", path=path, nbytes=nbytes,
@@ -395,7 +394,6 @@ class GeoReplicator:
                             # target: the replica is divergent until the
                             # reconciler re-ships them.
                             self._note_divergence(gf, target.name, nbytes)
-                    self.metrics.counter("sync.failures").incr()
                     if obs is not None:
                         obs.log.error("geo.replication",
                                       "sync_replicate_failed", path=path,
@@ -405,16 +403,11 @@ class GeoReplicator:
                 for target in targets:
                     gf.site_versions[target.name] = gf.version
                     self._note_copy_complete(gf, target.name)
-                self.metrics.tally("sync.ack_latency").record(
-                    self.sim.now - start)
             elif mode is ReplicationMode.ASYNC and targets:
                 for target in targets:
                     self.async_backlog[(path, target.name)] += nbytes
                     self._check_lag(target.name)
                     self._ensure_pump(target.name)
-                self.metrics.tally("async.ack_latency").record(
-                    self.sim.now - start)
-            self.metrics.rate("write.bytes").record(nbytes)
             done.succeed(nbytes)
 
     def _replicate_to(self, gf: GeoFile, origin: Site, target: Site,
@@ -441,7 +434,7 @@ class GeoReplicator:
                     raise
                 done.fail(exc)
                 return
-            self.metrics.rate("wan.replication_bytes").record(nbytes)
+            self.replication_bytes += nbytes
             if obs is not None:
                 obs.series.series("geo.wan_bytes",
                                   site=target.name).record(float(nbytes))
@@ -541,7 +534,7 @@ class GeoReplicator:
                 # would resurrect it with a negative balance.
                 continue
             self.async_backlog[item] -= chunk
-            self.metrics.rate("wan.replication_bytes").record(chunk)
+            self.replication_bytes += chunk
             if self.sim.obs is not None:
                 self.sim.obs.series.series(
                     "geo.wan_bytes", site=target_name).record(float(chunk))

@@ -14,6 +14,7 @@ chain's :class:`~repro.faults.state.RecoveryTracker`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable
 
@@ -21,7 +22,6 @@ from ..faults.retry import RetryPolicy, retry_call
 from ..faults.state import RecoveryTracker
 from ..sim.events import Event
 from ..sim.faults import FAULT_EXCEPTIONS, SimulatedFault, is_fault
-from ..sim.stats import MetricSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Simulator
@@ -74,7 +74,10 @@ class RepairChain:
         self.tracker = tracker
         self.name = name
         self.tiers: list[tuple[str, TierFn]] = []
-        self.metrics = MetricSet(sim)
+        #: (tier, outcome) -> count; outcome is ``skipped``, ``attempts``,
+        #: ``failed`` or ``repaired``.
+        self.counts: Counter[tuple[str, str]] = Counter()
+        self.unrepairable = 0
         self._active = 0
 
     def add_tier(self, name: str, fn: TierFn) -> "RepairChain":
@@ -83,7 +86,7 @@ class RepairChain:
         return self
 
     def repaired_by(self, tier: str) -> int:
-        return self.metrics.counter(f"tier.{tier}.repaired").value
+        return self.counts[tier, "repaired"]
 
     def repair(self, req: RepairRequest) -> Event:
         """Escalate through the tiers; the event's value is the winning
@@ -93,7 +96,6 @@ class RepairChain:
         return done
 
     def _run(self, req: RepairRequest, done: Event):
-        t0 = self.sim.now
         self._active += 1
         if self.tracker is not None and self._active == 1:
             self.tracker.degrade(f"repairing {req.kind} on {req.domain}")
@@ -103,9 +105,9 @@ class RepairChain:
             for tier, fn in self.tiers:
                 attempt = fn(req)
                 if attempt is None:
-                    self.metrics.counter(f"tier.{tier}.skipped").incr()
+                    self.counts[tier, "skipped"] += 1
                     continue
-                self.metrics.counter(f"tier.{tier}.attempts").incr()
+                self.counts[tier, "attempts"] += 1
                 try:
                     yield from retry_call(self.sim, attempt, self.policy,
                                           component=self.name)
@@ -113,7 +115,7 @@ class RepairChain:
                     if not is_fault(exc):
                         raise  # a tier bug must not read as "escalate"
                     last_exc = exc
-                    self.metrics.counter(f"tier.{tier}.failed").incr()
+                    self.counts[tier, "failed"] += 1
                     if obs is not None:
                         obs.log.warning(self.name, "tier_failed", tier=tier,
                                         domain=req.domain,
@@ -122,8 +124,7 @@ class RepairChain:
                     continue
                 self.manager.clear(req.domain, req.address)
                 self.manager.note_repaired(req.domain, req.address)
-                self.metrics.counter(f"tier.{tier}.repaired").incr()
-                self.metrics.tally("repair.latency").record(self.sim.now - t0)
+                self.counts[tier, "repaired"] += 1
                 if obs is not None:
                     obs.log.info(self.name, "repaired", tier=tier,
                                  domain=req.domain, fault_kind=req.kind)
@@ -131,7 +132,7 @@ class RepairChain:
                 return
             # Escalation exhausted: the corruption stands.
             self.manager.note_unrepairable(req.domain, req.address)
-            self.metrics.counter("unrepairable").incr()
+            self.unrepairable += 1
             if self.tracker is not None:
                 self.tracker.fail(f"unrepairable {req.kind} on {req.domain}")
             if obs is not None:
@@ -153,12 +154,11 @@ class RepairChain:
 
     def health(self):
         from ..obs.telemetry import ComponentHealth, HealthState
-        unrep = self.metrics.counter("unrepairable").value
-        state = (HealthState.FAILED if unrep
+        state = (HealthState.FAILED if self.unrepairable
                  else HealthState.DEGRADED if self._active
                  else HealthState.UP)
         metrics = {"active": float(self._active),
-                   "unrepairable": float(unrep)}
+                   "unrepairable": float(self.unrepairable)}
         for tier, _fn in self.tiers:
             metrics[f"repaired.{tier}"] = float(self.repaired_by(tier))
         return ComponentHealth(self.name, state, metrics=metrics,

@@ -1,7 +1,10 @@
 """Labeled time-series metrics over simulated time.
 
-Counters and point snapshots (:mod:`repro.sim.stats`, the management
-plane) answer "how much, total" and "how healthy, now".  This module
+Counters and point snapshots answer "how much, total" and "how healthy,
+now": counts are plain attributes on the component that owns them, read
+by its health probe (the management plane) and the reports, and
+:class:`~repro.sim.stats.MetricSet` is the pooled cache's named report.
+This module
 answers the question continuous operation needs: *how has it behaved over
 time, broken down by where* — per site, blade, tenant, protocol.  It is
 the substrate the SLO burn-rate machinery (:mod:`repro.obs.slo`) reads

@@ -210,16 +210,8 @@ class BuiltScenario:
         if self.kind == "geo":
             return self.center.attach_faults(plan, strict=strict)
         from ..faults.injector import FaultInjector
-        injector = FaultInjector(self.sim)
-        net, dr = self.network, self.dr
-        for name in sorted(net.sites):
-            site = net.sites[name]
-            injector.bind_site(site,
-                               on_loss=lambda s=site: dr.fail_site(s))
-        for u, v in sorted(net.graph.edges):
-            injector.bind_link(net.graph.edges[u, v]["link"])
-        injector.bind_partitions(net)
-        return injector.arm(plan, strict=strict)
+        return FaultInjector(self.sim).bind_wan(
+            self.network, self.dr).arm(plan, strict=strict)
 
     def __enter__(self) -> "BuiltScenario":
         return self.provision()
@@ -358,8 +350,7 @@ class BuiltScenario:
             return dict(self.center.report())
         out: dict[str, float] = {
             "files": float(len(self.replicator.files)),
-            "wan.replication_bytes": self.replicator.metrics.rate(
-                "wan.replication_bytes").total,
+            "wan.replication_bytes": self.replicator.replication_bytes,
         }
         for name in sorted(self.network.sites):
             site = self.network.sites[name]

@@ -25,7 +25,7 @@ from .replications import (
 )
 from .resources import Container, PriorityResource, Request, Resource, Store
 from .rng import RngStreams, stable_hash
-from .stats import Counter, MetricSet, RateMeter, Tally, TimeWeighted
+from .stats import Counter, MetricSet, Tally, TimeWeighted
 
 __all__ = [
     "AllOf",
@@ -44,7 +44,6 @@ __all__ = [
     "MetricSet",
     "PriorityResource",
     "Process",
-    "RateMeter",
     "ReplicationSummary",
     "Request",
     "Resource",

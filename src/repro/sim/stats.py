@@ -1,10 +1,12 @@
 """Metric collectors for simulation output.
 
-All experiment results flow through these collectors so that benches and
-tests read from one vocabulary: tallies (per-observation), time-weighted
-averages (levels like queue depth or utilization), counters, and rate
-meters.  Percentiles come from stored samples (numpy) since run sizes here
-are modest.
+Tallies (per-observation), time-weighted averages (levels like queue
+depth or utilization) and counters.  A component's own event counts are
+plain attributes on that component (``self.sweeps += 1``), read directly
+by its ``summary()``, health probe and the reports; :class:`MetricSet`
+is the pooled cache's named report, the one registry that is enumerated
+(``NetStorageSystem.report()`` fingerprints its snapshot).  Percentiles
+come from stored samples (numpy) since run sizes here are modest.
 """
 
 from __future__ import annotations
@@ -133,40 +135,21 @@ class Counter:
         self.value += by
 
 
-class RateMeter:
-    """Measures average throughput of a byte stream over simulated time."""
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        self._start = sim.now
-        self.total = 0.0
-
-    def record(self, nbytes: float) -> None:
-        """Add ``nbytes`` to the running byte total."""
-        self.total += nbytes
-
-    def rate(self) -> float:
-        """Mean bytes/second since creation (0 if no time has passed)."""
-        elapsed = self.sim.now - self._start
-        return self.total / elapsed if elapsed > 0 else 0.0
-
-
 class MetricSet:
-    """A named registry of collectors so subsystems can publish metrics.
+    """A named registry of counters and tallies, flattened by :meth:`snapshot`.
 
-    >>> metrics = MetricSet(sim)
-    >>> metrics.tally("read.latency").record(0.004)
-    >>> metrics.counter("cache.hits").incr()
+    The pooled cache's report (``CacheCluster.metrics``):
+
+    >>> cluster.metrics.tally("integrity.repair_latency").record(0.004)
+    >>> cluster.metrics.counter("read.miss").incr()
     """
 
     #: Percentiles included per tally in :meth:`snapshot`.
     SNAPSHOT_PERCENTILES = (50.0, 95.0, 99.0)
 
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
+    def __init__(self) -> None:
         self._tallies: dict[str, Tally] = {}
         self._counters: dict[str, Counter] = {}
-        self._rates: dict[str, RateMeter] = {}
 
     def tally(self, name: str) -> Tally:
         """The named Tally, created on first use."""
@@ -179,12 +162,6 @@ class MetricSet:
         if name not in self._counters:
             self._counters[name] = Counter()
         return self._counters[name]
-
-    def rate(self, name: str) -> RateMeter:
-        """The named RateMeter, created on first use."""
-        if name not in self._rates:
-            self._rates[name] = RateMeter(self.sim)
-        return self._rates[name]
 
     def snapshot(self) -> dict[str, float]:
         """Flatten every collector into a name→value report.
@@ -205,6 +182,4 @@ class MetricSet:
                     out[f"{name}.p{q:g}"] = v
         for name, c in self._counters.items():
             out[name] = c.value
-        for name, r in self._rates.items():
-            out[f"{name}.bytes_per_s"] = r.rate()
         return out

@@ -146,7 +146,7 @@ class TestOverlapComposition:
         assert seen == {"mid": True, "end": False}
         # One physical outage => one down transition and one tracked
         # failure, however many overlapping specs composed it.
-        assert rep.metrics.counter("site.down_transitions").value == 1
+        assert rep.down_transitions == 1
         assert injector.tracker("a").failures == 1
 
     def test_double_outage_counts_two_transitions(self):
@@ -160,7 +160,7 @@ class TestOverlapComposition:
                 .add(4.0, "site_loss", "a", duration=1.0))
         injector.arm(plan)
         sim.run(until=10.0)
-        assert rep.metrics.counter("site.down_transitions").value == 2
+        assert rep.down_transitions == 2
         assert injector.tracker("a").failures == 2
 
 

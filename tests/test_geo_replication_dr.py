@@ -199,7 +199,7 @@ class TestDistributedAccess:
         p = sim.process(proc())
         sim.run(until=60.0)
         assert p.value == "local"
-        assert dam.metrics.counter("prefetch.blocks").value >= 1
+        assert dam.prefetched_blocks >= 1
 
     def test_auto_replication_after_threshold(self):
         sim = Simulator()

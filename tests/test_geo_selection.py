@@ -151,7 +151,7 @@ class TestFixedBugs:
         sim.process(client())
         sim.run(until=120.0)
         assert outcome == ["remote"]
-        assert dam.metrics.counter("select.rerouted").value >= 1
+        assert dam.rerouted >= 1
 
     def test_cost_selector_ranks_partitioned_holder_last(self):
         sim = Simulator()

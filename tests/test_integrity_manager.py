@@ -158,8 +158,8 @@ def test_chain_skips_unavailable_tier_without_retries(sim, mgr):
     ev = chain.repair(_req())
     sim.run()
     assert ev.value == "parity"
-    assert chain.metrics.counter("tier.replica.skipped").value == 1
-    assert chain.metrics.counter("tier.replica.attempts").value == 0
+    assert chain.counts["replica", "skipped"] == 1
+    assert chain.counts["replica", "attempts"] == 0
     assert chain.repaired_by("parity") == 1
     assert mgr.repaired_total == 1 and mgr.outstanding() == 0
 
@@ -176,7 +176,7 @@ def test_chain_retries_then_escalates(sim, mgr):
     sim.run()
     assert ev.value == "parity"
     assert len(calls) == 2  # both retry attempts burned before escalating
-    assert chain.metrics.counter("tier.replica.failed").value == 1
+    assert chain.counts["replica", "failed"] == 1
 
 
 def test_chain_exhaustion_is_unrepairable(sim, mgr):

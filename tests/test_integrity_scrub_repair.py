@@ -117,7 +117,7 @@ def test_bitrot_with_crashed_replica_blade_falls_to_parity():
     chain = system.repair_chain
     assert chain.repaired_by("raid_parity") == 1
     assert chain.repaired_by("cache_replica") == 0
-    assert chain.metrics.counter("tier.cache_replica.attempts").value == 0
+    assert chain.counts["cache_replica", "attempts"] == 0
     s = system.integrity.summary()
     assert s["detected"] == s["injected"] == 1
     assert s["repaired"] == 1 and s["unrepairable"] == 0

@@ -136,7 +136,6 @@ def test_geo_payload_digest_miss_resends():
     rep.corrupt_next()
     sim.run(until=rep.write("/f", mib(1)))
     assert rep.resends == 1
-    assert rep.metrics.counter("wan.resends").value == 1
     s = rep.integrity.summary()
     assert s["detected"] == 1 and s["repaired"] == 1
     assert rep.files["/f"].copies == {"a", "b"}
