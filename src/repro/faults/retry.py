@@ -7,12 +7,12 @@ optional deterministic jitter from a seeded generator, an attempt cap and
 a wall-clock (simulated) deadline — and :func:`retry_call` applies it to
 any ``() -> Event`` operation inside a simulation process.
 
-Only *simulated* failures (:func:`repro.sim.faults.is_fault`) are retried;
-programming errors re-raise on the first attempt so injection campaigns
-cannot mask model bugs.  When the budget runs out the caller receives
-:class:`RetryExhausted` whose ``last_error`` (and ``__cause__``) is the
-final underlying failure — the error that actually mattered, not a generic
-"gave up".
+Only *simulated* failures (:data:`repro.sim.faults.FAULT_EXCEPTIONS`) are
+retried; programming errors re-raise on the first attempt so injection
+campaigns cannot mask model bugs.  When the budget runs out the caller
+receives :class:`RetryExhausted` whose ``last_error`` (and ``__cause__``)
+is the final underlying failure — the error that actually mattered, not a
+generic "gave up".
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ..sim.events import Event
-from ..sim.faults import SimulatedFault, is_fault
+from ..sim.faults import FAULT_EXCEPTIONS, SimulatedFault
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Simulator
@@ -119,9 +119,7 @@ def retry_call(sim: "Simulator", op: Callable[[], Event],
         try:
             result = yield op()
             return result
-        except Exception as exc:
-            if not is_fault(exc):
-                raise
+        except FAULT_EXCEPTIONS as exc:
             if attempt >= policy.attempts:
                 raise RetryExhausted(attempt, exc) from exc
             delay = policy.backoff(attempt, rng)

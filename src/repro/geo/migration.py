@@ -23,13 +23,17 @@ from collections import defaultdict
 from typing import TYPE_CHECKING
 
 from ..sim.events import Event
-from ..sim.faults import FAULT_EXCEPTIONS
+from ..sim.faults import FAULT_EXCEPTIONS, SimulatedFault
 from .selection import ReplicaCatalog, ReplicaSelector, make_selector
 from .site import Site
 from .wan import NoRouteError, WanNetwork
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Simulator
+
+
+class NoSurvivingCopyError(SimulatedFault):
+    """Every holder of a block is down: the read or pin cannot be served."""
 
 
 class FileResidency:
@@ -124,7 +128,6 @@ class DistributedAccessManager:
         fr.access_counts[at.name] += 1
         local = fr.resident.setdefault(at.name, set())
         started = self.sim.now
-        source: Site | None = None
         try:
             if block in local:
                 yield at.store_read(self.block_size)
@@ -132,26 +135,9 @@ class DistributedAccessManager:
                 self.catalog.record_read(path, at.name, local=True)
                 done.succeed("local")
                 return
-            # Remote first touch: fetch the block from the best-ranked
-            # reachable holder; a partitioned candidate (NoRouteError
-            # before any bytes move) falls through to the next one.
-            no_route: NoRouteError | None = None
-            for candidate in self.selector.rank(fr, block, at,
-                                                self.block_size):
-                try:
-                    yield self.network.transfer(candidate, at,
-                                                self.block_size)
-                except NoRouteError as exc:
-                    no_route = exc
-                    self.rerouted += 1
-                    continue
-                source = candidate
-                break
-            if source is None:
-                raise (no_route if no_route is not None else LookupError(
-                    f"no surviving copy of {fr.path!r}[{block}]"))
+            source = yield from self._fetch(fr, block, at)
             yield at.store_write(self.block_size)
-        except FAULT_EXCEPTIONS + (LookupError,) as exc:
+        except FAULT_EXCEPTIONS as exc:
             # Process boundary: a site/link fault mid-read (or no surviving
             # copy) fails the completion event, never the kernel.
             done.fail(exc)
@@ -175,6 +161,24 @@ class DistributedAccessManager:
                 and not fr.fully_resident_at(at.name):
             self._background_replicate(fr, source, at)
         done.succeed("remote")
+
+    def _fetch(self, fr: FileResidency, block: int, at: Site):
+        """Pull one block to ``at`` from the best-ranked reachable holder
+        and return that holder.  A partitioned candidate (NoRouteError
+        before any bytes move) falls through to the next one; with no
+        holder left the last NoRouteError, or NoSurvivingCopyError,
+        propagates."""
+        no_route: NoRouteError | None = None
+        for candidate in self.selector.rank(fr, block, at, self.block_size):
+            try:
+                yield self.network.transfer(candidate, at, self.block_size)
+            except NoRouteError as exc:
+                no_route = exc
+                self.rerouted += 1
+                continue
+            return candidate
+        raise (no_route if no_route is not None else NoSurvivingCopyError(
+            f"no surviving copy of {fr.path!r}[{block}]"))
 
     # -- background movement ----------------------------------------------------------------
 
@@ -234,29 +238,10 @@ class DistributedAccessManager:
                 for b in range(fr.block_count):
                     if b in local:
                         continue
-                    # Ranked candidates with no-route fallback, same as
-                    # the read path: a partitioned first choice degrades
-                    # to the next holder, not a failed pin.
-                    fetched = False
-                    no_route: NoRouteError | None = None
-                    for source in self.selector.rank(fr, b, at,
-                                                     self.block_size):
-                        try:
-                            yield self.network.transfer(source, at,
-                                                        self.block_size)
-                        except NoRouteError as exc:
-                            no_route = exc
-                            self.rerouted += 1
-                            continue
-                        fetched = True
-                        break
-                    if not fetched:
-                        raise (no_route if no_route is not None
-                               else LookupError(
-                                   f"no surviving copy of {path!r}[{b}]"))
+                    yield from self._fetch(fr, b, at)
                     yield at.store_write(self.block_size)
                     local.add(b)
-            except FAULT_EXCEPTIONS + (LookupError,) as exc:
+            except FAULT_EXCEPTIONS as exc:
                 done.fail(exc)
                 return
             done.succeed()

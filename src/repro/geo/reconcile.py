@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..obs.telemetry import ComponentHealth, HealthState
-from ..sim.faults import FAULT_EXCEPTIONS, is_fault
+from ..sim.faults import FAULT_EXCEPTIONS
 from .replication import GeoReplicator
 from .wan import WanNetwork
 
@@ -154,9 +154,7 @@ class ReconcileDaemon:
                     yield self.network.transfer(old, home, orphan.nbytes)
                     yield from rep._wire_check(old, home, orphan.nbytes)
                     yield home.store_write(orphan.nbytes)
-                except FAULT_EXCEPTIONS as exc:
-                    if not is_fault(exc):
-                        raise
+                except FAULT_EXCEPTIONS:
                     return 0  # heal interrupted; orphan stays for retry
                 gf.version += 1
                 gf.last_write_at = self.sim.now
@@ -196,9 +194,7 @@ class ReconcileDaemon:
             yield self.network.transfer(home, target, owed)
             yield from rep._wire_check(home, target, owed)
             yield target.store_write(owed)
-        except FAULT_EXCEPTIONS as exc:
-            if not is_fault(exc):
-                raise
+        except FAULT_EXCEPTIONS:
             return 0
         rep.clear_divergence(path, site_name, owed)
         gf.site_versions[site_name] = gf.version

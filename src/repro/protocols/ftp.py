@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 from ..faults.retry import NO_RETRY, RetryPolicy, retry_call
 from ..sim.events import Event
-from ..sim.faults import FAULT_EXCEPTIONS, is_fault
+from ..sim.faults import FAULT_EXCEPTIONS
 from ..sim.link import FairShareLink
 from ..sim.units import mib, ms
 from .http import StorageRead
@@ -64,10 +64,7 @@ class FtpExport:
             yield self.sim.all_of(pending)
         except FAULT_EXCEPTIONS as exc:
             # Storage or client-link failure aborts the transfer with a
-            # visible error (previously the session just vanished and the
-            # caller hung); model bugs still crash.
-            if not is_fault(exc):
-                raise
+            # visible error instead of a vanished session.
             self.transfers_failed += 1
             done.fail(exc)
             return

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Callable
 
 from ..faults.retry import NO_RETRY, RetryPolicy, retry_call
 from ..sim.events import Event
-from ..sim.faults import FAULT_EXCEPTIONS, is_fault
+from ..sim.faults import FAULT_EXCEPTIONS
 from ..sim.link import FairShareLink
 from ..sim.units import mib, us
 
@@ -76,8 +76,6 @@ class DirectHttpExport:
         except FAULT_EXCEPTIONS as exc:
             # A storage fault becomes a failed request (a 500, in HTTP
             # terms) instead of a silently-vanished connection.
-            if not is_fault(exc):
-                raise
             self.requests_failed += 1
             done.fail(exc)
             return
@@ -126,8 +124,6 @@ class ServerMediatedExport:
                 yield self.client_link.transfer(take)  # server -> client
                 pos += take
         except FAULT_EXCEPTIONS as exc:
-            if not is_fault(exc):
-                raise
             done.fail(exc)
             return
         self.requests_served += 1

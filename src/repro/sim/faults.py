@@ -4,10 +4,13 @@ The availability claims of the paper (§6) are exercised by injecting
 failures — blade crashes, disk deaths, link flaps, whole-site disasters.
 Model code recovering from those must never also swallow its own bugs, so
 every exception that represents an *injected or modeled* failure derives
-from :class:`SimulatedFault`, and recovery paths catch exactly that (plus
-:class:`~repro.sim.events.ConditionError` barriers that *wrap* one).
-``TypeError``/``KeyError``/``AttributeError`` and friends fall through and
-crash the run loudly, as programming errors should.
+from :class:`SimulatedFault`, and recovery paths catch exactly
+:data:`FAULT_EXCEPTIONS` — one ``except``, no second check.  The one
+place an error is classified is where a barrier fails: an ``AllOf``/
+``AnyOf`` over a fault raises :class:`~repro.sim.events.ConditionFault`
+(itself a ``SimulatedFault``), over a bug a plain ``ConditionError``.
+``TypeError``/``KeyError``/``AttributeError`` and barriers over them
+fall through and crash the run loudly, as programming errors should.
 
 Layering note: this module sits at the bottom of the stack (pure kernel,
 no model imports) so ``hardware``, ``geo``, ``cache`` and ``protocols``
@@ -66,7 +69,7 @@ def find_corruption(exc: BaseException | None,
     """The :class:`CorruptionError` that ``exc`` is or wraps, if any.
 
     Mirrors :func:`is_fault`: walks ``__cause__`` chains so a
-    ``ConditionError`` from an ``all_of`` barrier over a failed disk read
+    ``ConditionFault`` from an ``all_of`` barrier over a failed disk read
     classifies by the verification miss underneath.
     """
     while exc is not None and _depth > 0:
@@ -77,17 +80,12 @@ def find_corruption(exc: BaseException | None,
     return None
 
 
-#: What recovery code may catch: direct faults, ``OSError`` (the Python-
-#: native I/O failure — model backends use e.g. ``IOError("medium
-#: error")`` for media defects), plus condition barriers (an ``AllOf``/
-#: ``AnyOf`` failure wraps the losing sub-event's exception; use
-#: :func:`is_fault` inside the handler to re-raise wrapped bugs).
-def _fault_exceptions() -> tuple[type[BaseException], ...]:
-    from .events import ConditionError
-    return (SimulatedFault, OSError, ConditionError)
-
-
-FAULT_EXCEPTIONS = _fault_exceptions()
+#: What recovery code may catch: simulated faults (barriers over a fault
+#: included, see :class:`~repro.sim.events.ConditionFault`) and ``OSError``
+#: (the Python-native I/O failure — model backends use e.g.
+#: ``IOError("medium error")`` for media defects).  Catch it in one step:
+#: whatever it lets through is a bug.
+FAULT_EXCEPTIONS = (SimulatedFault, OSError)
 
 
 def is_fault(exc: BaseException | None, _depth: int = 8) -> bool:
@@ -96,10 +94,10 @@ def is_fault(exc: BaseException | None, _depth: int = 8) -> bool:
     ``OSError`` counts: it is the language's own I/O-failure type, so a
     backend modeling a medium error with ``IOError`` classifies as a
     fault, while ``TypeError``/``KeyError``/``AttributeError`` never do.
-    Walks ``__cause__`` chains so a :class:`ConditionError` raised by an
-    ``all_of`` barrier over a failed site transfer — or a
-    ``RetryExhausted`` carrying its last underlying error — classifies by
-    what actually went wrong underneath.
+    Walks ``__cause__`` chains so an error wrapping another classifies by
+    what actually went wrong underneath.  Recovery handlers do not call
+    it: a failing barrier classifies its sub-event's error once, and
+    process boundaries use it to pick a log severity.
     """
     while exc is not None and _depth > 0:
         if isinstance(exc, (SimulatedFault, OSError)):

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Callable, Hashable
 import numpy as np
 
 from ..sim.events import Event
+from ..sim.faults import FAULT_EXCEPTIONS
 from ..sim.stats import Tally
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -95,6 +96,6 @@ class HotspotWorkload:
             yield self.issue(key)
             self.latency.record(self.sim.now - start)
             self.completed += 1
-        except Exception:
+        except FAULT_EXCEPTIONS:
             self.failures += 1
         done.succeed()

@@ -36,7 +36,7 @@ from repro.geo.selection import UNREACHABLE
 from repro.plan import (ClusterSpec, LinkSpec, ScenarioSpec, SiteSpec,
                         SpecError, WorkloadSpec, plan_storage, run_scenario)
 from repro.plan.matrix import MatrixSpec
-from repro.sim import Simulator
+from repro.sim import FAULT_EXCEPTIONS, SimulatedFault, Simulator
 from repro.sim.units import gbps, mib
 
 SYNC1 = FilePolicy(replication_mode=ReplicationMode.SYNC, replication_sites=1)
@@ -152,6 +152,29 @@ class TestFixedBugs:
         sim.run(until=120.0)
         assert outcome == ["remote"]
         assert dam.rerouted >= 1
+
+    def test_read_with_no_live_holder_fails_its_completion_event(self):
+        """No surviving copy is a simulated fault: the read's completion
+        event fails with it, and a client handles it like any outage."""
+        sim = Simulator()
+        net, a, b, _c = ring(sim)
+        dam = DistributedAccessManager(sim, net, block_size=mib(1),
+                                       selection="static")
+        dam.register("/f", mib(1), home=a)
+        a.fail()
+        errors = []
+
+        def client():
+            try:
+                yield dam.read("/f", 0, b)
+            except FAULT_EXCEPTIONS as exc:
+                errors.append(exc)
+
+        sim.process(client())
+        sim.run(until=60.0)
+        assert len(errors) == 1
+        assert isinstance(errors[0], SimulatedFault)
+        assert "no surviving copy" in str(errors[0])
 
     def test_cost_selector_ranks_partitioned_holder_last(self):
         sim = Simulator()

@@ -10,7 +10,7 @@ from repro.plan import (ClusterSpec, LinkSpec, PlanDivergenceError,
                         ScenarioSpec, SiteSpec, WorkloadSpec, plan_storage,
                         run_scenario)
 from repro.plan.scenario import _assert_site
-from repro.sim import Simulator
+from repro.sim import ConditionError, Event, Simulator
 from repro.sim.units import mib
 
 SMALL = ClusterSpec(blade_count=2, disk_count=8, disk_capacity=mib(64))
@@ -131,6 +131,26 @@ def test_geo_site_loss_fails_ops_not_the_kernel():
     assert result.ok > 0
     assert result.failed > 0
     assert run_scenario(spec).fingerprint == result.fingerprint
+
+
+def test_bug_under_a_barrier_crashes_the_run():
+    """A model bug failing one cache read under the client's all_of
+    barrier is not a fault: the run crashes instead of counting failed
+    iterations."""
+    spec = ScenarioSpec(name="mask", horizon_s=120,
+                        workload=WorkloadSpec(clients=1, period_s=30))
+    sim = Simulator()
+    built = plan_storage(spec).build(sim)
+
+    def buggy_read(*args, **kwargs):
+        ev = Event(sim)
+        ev.fail(TypeError("model bug"))
+        return ev
+
+    built.system.cache.read = buggy_read
+    with pytest.raises(ConditionError) as exc:
+        built.run()
+    assert isinstance(exc.value.__cause__, TypeError)
 
 
 def test_wan_faults_drive_dr_failover():

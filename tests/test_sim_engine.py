@@ -3,12 +3,16 @@
 import pytest
 
 from repro.sim import (
+    FAULT_EXCEPTIONS,
     ConditionError,
     Event,
     Interrupt,
+    SimulatedFault,
     SimulationError,
     Simulator,
+    TransientIOError,
 )
+from repro.sim.faults import CorruptionError, find_corruption
 
 
 def test_empty_run_terminates_immediately():
@@ -279,6 +283,53 @@ def test_all_of_propagates_failure():
     sim.process(failer())
     sim.run()
     assert caught == [1.0]
+
+
+def _barrier_error(child_exc, nested):
+    """What a waiter catches when ``child_exc`` fails one child of an
+    ``all_of`` (raced inside an ``any_of`` when ``nested``)."""
+    sim = Simulator()
+    bad = sim.event()
+    barrier = sim.all_of([sim.timeout(5.0), bad])
+    if nested:
+        barrier = sim.any_of([barrier, sim.timeout(9.0)])
+    caught = []
+
+    def parent():
+        try:
+            yield barrier
+        except ConditionError as exc:
+            caught.append(exc)
+
+    def failer():
+        yield sim.timeout(1.0)
+        bad.fail(child_exc)
+
+    sim.process(parent())
+    sim.process(failer())
+    sim.run()
+    assert len(caught) == 1
+    return caught[0]
+
+
+@pytest.mark.parametrize("child_exc, nested, fault", [
+    pytest.param(TransientIOError("glitch"), False, True, id="fault-child"),
+    pytest.param(TypeError("model bug"), False, False, id="bug-child"),
+    pytest.param(TransientIOError("glitch"), True, True,
+                 id="fault-all-of-in-any-of"),
+    pytest.param(TypeError("model bug"), True, False,
+                 id="bug-all-of-in-any-of"),
+    pytest.param(CorruptionError("disk3", 7, 4096, "bitrot"), False, True,
+                 id="corruption-child"),
+])
+def test_barrier_classifies_failed_child(child_exc, nested, fault):
+    """A barrier over a fault is a fault that recovery code catches; a
+    barrier over a bug is not, so the bug crashes the run."""
+    exc = _barrier_error(child_exc, nested)
+    assert isinstance(exc, SimulatedFault) is fault
+    assert isinstance(exc, FAULT_EXCEPTIONS) is fault
+    expected = child_exc if isinstance(child_exc, CorruptionError) else None
+    assert find_corruption(exc) is expected
 
 
 def test_interrupt_delivered_as_exception():

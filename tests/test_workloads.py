@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import RngStreams, Simulator
+from repro.sim import RngStreams, Simulator, TransientIOError
 from repro.workloads import (
     HotspotWorkload,
     SequentialStream,
@@ -124,7 +124,7 @@ class TestHotspotWorkload:
 
         def issue(key):
             ev = sim.event()
-            ev.fail(RuntimeError("down"))
+            ev.fail(TransientIOError("down"))
             return ev
 
         wl = HotspotWorkload(sim, gen, issue, arrival_rate=100.0,
@@ -132,6 +132,23 @@ class TestHotspotWorkload:
         wl.run()
         sim.run()
         assert wl.failures == wl.issued > 0
+
+    def test_bug_crashes_instead_of_counting_a_failure(self):
+        sim = Simulator()
+        rng = RngStreams(2).fresh("a3")
+        gen = ZipfKeyGenerator(10, 1.0, RngStreams(2).fresh("k3"))
+
+        def issue(key):
+            ev = sim.event()
+            ev.fail(TypeError("model bug"))
+            return ev
+
+        wl = HotspotWorkload(sim, gen, issue, arrival_rate=100.0,
+                             duration=0.2, rng=rng)
+        wl.run()
+        with pytest.raises(TypeError, match="model bug"):
+            sim.run()
+        assert wl.failures == 0
 
     def test_validation(self):
         sim = Simulator()
