@@ -21,7 +21,7 @@ sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro import FaultKind, FaultPlan, NetStorageSystem, Simulator, SystemConfig
-from repro.obs import RatioSLO, Severity, ThresholdSLO
+from repro.obs import RatioSLO, Severity, ThresholdSLO, enable
 from repro.sim.units import mib
 
 HORIZON = 300.0          # five simulated minutes
@@ -32,12 +32,15 @@ sim = Simulator()
 # dispatched event, a per-event cost on top of the run.
 sim.attach_profiler()
 
+# Attach observability before building the system: every component binds
+# its series handles when it is constructed.  1 s series intervals suit a
+# minutes-scale run; WARNING+ keeps the event ring focused on incidents
+# instead of letting per-op DEBUG chatter evict the alert records this
+# demo wants to show.
+obs = enable(sim, min_severity=Severity.WARNING)
 system = NetStorageSystem(sim, SystemConfig(
-    blade_count=4, disk_count=16, disk_capacity=mib(512), seed=7))
-# 1 s series intervals suit a minutes-scale run; WARNING+ keeps the event
-# ring focused on incidents instead of letting per-op DEBUG chatter evict
-# the alert records this demo wants to show.
-obs = system.enable_observability(min_severity=Severity.WARNING)
+    blade_count=4, disk_count=16, disk_capacity=mib(512), seed=7,
+    observability=True))
 
 # Promises, declared over the labeled series the stack emits (the burn
 # windows clamp to the start of the run, so a five-minute demo still

@@ -15,14 +15,14 @@ blade to fetch from), keeping protocol decisions testable in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from .block_cache import BlockKey
 
-#: Observer signature: ``(kind, key, detail)`` — e.g.
-#: ``("invalidate", key, victims)`` or ``("remote_fetch", key, source)``.
+#: Observer signature: ``(kind, key, **attrs)`` — e.g.
+#: ``("invalidate", key, victims=2)`` or ``("remote_fetch", key, source=1)``.
 #: The directory is sim-agnostic, so timestamping is the observer's job.
-DirectoryObserver = Callable[[str, BlockKey, Any], None]
+DirectoryObserver = Callable[..., None]
 
 
 @dataclass
@@ -86,7 +86,7 @@ class Directory:
             entry.sharers.add(blade)
             self.remote_fetches += 1
             if self.observer is not None:
-                self.observer("remote_fetch", key, entry.owner)
+                self.observer("remote_fetch", key, source=entry.owner)
             return actions
         holders = entry.holders() - {blade}
         if holders:
@@ -94,7 +94,7 @@ class Directory:
             entry.sharers.add(blade)
             self.remote_fetches += 1
             if self.observer is not None:
-                self.observer("remote_fetch", key, source)
+                self.observer("remote_fetch", key, source=source)
             return CoherenceActions(fetch_from=source)
         entry.sharers.add(blade)
         return CoherenceActions()
@@ -108,7 +108,7 @@ class Directory:
             fetch = entry.owner
         self.invalidations_sent += len(victims)
         if victims and self.observer is not None:
-            self.observer("invalidate", key, victims)
+            self.observer("invalidate", key, victims=len(victims))
         entry.sharers.clear()
         entry.replica_holders.clear()
         entry.owner = blade

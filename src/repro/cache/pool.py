@@ -17,6 +17,7 @@ from ..faults.retry import NO_RETRY, RetryPolicy, retry_call
 from ..hardware.blade import ControllerBlade
 from ..integrity.repair import RepairRequest
 from ..obs.telemetry import ComponentHealth, HealthState
+from ..obs.timeseries import bind
 from ..obs.tracer import NULL_SPAN
 from ..sim.events import Event
 from ..sim.faults import (FAULT_EXCEPTIONS, SimulatedFault, TransientIOError,
@@ -29,8 +30,8 @@ from .block_cache import BlockCache, BlockKey, BlockState
 from .coherence import Directory
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..obs import Observability
     from ..obs.telemetry import ManagementPlane
+    from ..obs.timeseries import Series
     from ..sim.engine import Simulator
 
 #: Effective memory-copy bandwidth for a cache hit (controller DRAM).
@@ -69,17 +70,23 @@ class CacheCluster:
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
         self.sim = sim
-        self.blades = {b.blade_id: b for b in blades}
         self.block_size = block_size
         self.replication = replication
         self.backing_read = backing_read
         self.backing_write = backing_write
-        self.caches: dict[int, BlockCache] = {
-            b.blade_id: BlockCache(max(1, b.cache_bytes // block_size),
-                                   name=f"{b.name}.cache")
-            for b in blades
-        }
+        self.blades: dict[int, ControllerBlade] = {}
+        self.caches: dict[int, BlockCache] = {}
+        #: Latency handles by (blade id, tier); None with observability off.
+        self._latency: dict[tuple[int, str], Series] | None = (
+            None if sim.obs is None else {})
+        for b in blades:
+            self.add_blade(b)
+        self._destaged = bind(sim, "cache.destage_blocks")
         self.directory = Directory()
+        if sim.obs is not None:
+            log = sim.obs.log
+            self.directory.observer = lambda kind, key, **attrs: log.debug(
+                "cache.coherence", kind, key=str(key), **attrs)
         if interconnect_bandwidth is None:
             # Each blade contributes a couple of Gb/s of mesh capacity.
             interconnect_bandwidth = gbps(4) * len(blades)
@@ -118,30 +125,20 @@ class CacheCluster:
         #: fill digest detects it and one retransmit makes it whole.
         self._wire_corrupt_pending = 0
 
+    def add_blade(self, blade: ControllerBlade) -> None:
+        """Pool ``blade``'s cache memory and bind its latency series."""
+        bid = blade.blade_id
+        self.blades[bid] = blade
+        self.caches[bid] = BlockCache(
+            max(1, blade.cache_bytes // self.block_size),
+            name=f"{blade.name}.cache")
+        if self._latency is not None:
+            for op, tier in (("read", "local"), ("read", "remote"),
+                             ("read", "disk"), ("write", "cached")):
+                self._latency[bid, tier] = bind(
+                    self.sim, f"cache.{op}_latency_s", blade=bid, tier=tier)
+
     # -- helpers -----------------------------------------------------------------
-
-    def _obs(self) -> "Observability | None":
-        """The sim's observability bundle, wiring the coherence directory's
-        observer into the event log on first use.
-
-        Callers read ``self.sim.obs`` first and only call this when
-        observability is on; with it off they trace into the shared no-op
-        ``NULL_SPAN`` instead.
-        """
-        obs = self.sim.obs
-        if obs is not None and self.directory.observer is None:
-            log = obs.log
-
-            def watch(kind: str, key: BlockKey, detail) -> None:
-                if kind == "invalidate":
-                    log.debug("cache.coherence", "invalidate",
-                              key=str(key), victims=len(detail))
-                else:
-                    log.debug("cache.coherence", kind,
-                              key=str(key), source=detail)
-
-            self.directory.observer = watch
-        return obs
 
     def inject_backing_faults(self, count: int, op: str = "read") -> None:
         """Force the next ``count`` backing reads (or writes) to fail with
@@ -301,15 +298,10 @@ class CacheCluster:
                          name="cache.read")
         return done
 
-    def _latency_series(self, obs: "Observability", op: str, blade_id: int,
-                        tier: str):
-        """Per-blade/tier latency series (labels follow the SLO layer)."""
-        return obs.series.series(f"cache.{op}_latency_s", blade=blade_id,
-                                 tier=tier)
-
     def _read(self, blade_id: int, key: BlockKey, priority: int, done: Event,
               parent=None):
-        obs = self._obs() if self.sim.obs is not None else None
+        obs = self.sim.obs
+        latency = self._latency
         t0 = self.sim.now
         span = (obs.tracer.span("cache.read", parent=parent, blade=blade_id)
                 if obs is not None else NULL_SPAN)
@@ -329,9 +321,8 @@ class CacheCluster:
                 self._ctr_local_hit.incr()
                 span.annotate(tier="local")
                 yield self.sim.timeout(self._hit_delay)
-                if obs is not None:
-                    self._latency_series(obs, "read", blade_id,
-                                         "local").record(self.sim.now - t0)
+                if latency is not None:
+                    latency[blade_id, "local"].record(self.sim.now - t0)
                 done.succeed("local")
                 return
             actions = self.directory.acquire_shared(blade_id, key)
@@ -366,10 +357,8 @@ class CacheCluster:
                             yield self.interconnect.transfer(self.block_size)
                     cache.insert(key, BlockState.SHARED, priority,
                                  self.sim.now)
-                    if obs is not None:
-                        self._latency_series(obs, "read", blade_id,
-                                             "remote").record(
-                                                 self.sim.now - t0)
+                    if latency is not None:
+                        latency[blade_id, "remote"].record(self.sim.now - t0)
                     done.succeed("remote")
                     return
             self._ctr_miss.incr()
@@ -390,10 +379,9 @@ class CacheCluster:
                     if repaired:
                         cache.insert(key, BlockState.SHARED, priority,
                                      self.sim.now)
-                        if obs is not None:
-                            self._latency_series(obs, "read", blade_id,
-                                                 "disk").record(
-                                                     self.sim.now - t0)
+                        if latency is not None:
+                            latency[blade_id, "disk"].record(
+                                self.sim.now - t0)
                         done.succeed("disk")
                         return
                 self.metrics.counter("read.backing_errors").incr()
@@ -403,9 +391,8 @@ class CacheCluster:
                 done.fail(exc)
                 return
             cache.insert(key, BlockState.SHARED, priority, self.sim.now)
-            if obs is not None:
-                self._latency_series(obs, "read", blade_id, "disk").record(
-                    self.sim.now - t0)
+            if latency is not None:
+                latency[blade_id, "disk"].record(self.sim.now - t0)
             done.succeed("disk")
 
     # -- write path ------------------------------------------------------------------
@@ -431,7 +418,7 @@ class CacheCluster:
         if n < 1:
             done.fail(ValueError("replicas must be >= 1"))
             return
-        obs = self._obs() if self.sim.obs is not None else None
+        obs = self.sim.obs
         t0 = self.sim.now
         span = (obs.tracer.span("cache.write", parent=parent,
                                 blade=blade_id, replicas=n)
@@ -475,9 +462,8 @@ class CacheCluster:
                 self.metrics.counter("write.replicas_placed").incr(len(targets))
             self._enqueue_dirty(key)
             self.metrics.counter("write.absorbed").incr()
-            if obs is not None:
-                self._latency_series(obs, "write", blade_id,
-                                     "cached").record(self.sim.now - t0)
+            if self._latency is not None:
+                self._latency[blade_id, "cached"].record(self.sim.now - t0)
             done.succeed("cached")
 
     # -- destage ---------------------------------------------------------------------
@@ -515,7 +501,7 @@ class CacheCluster:
             return
         if self.integrity is not None:
             yield from self._verify_before_destage(key, entry)
-        obs = self._obs() if self.sim.obs is not None else None
+        obs = self.sim.obs
         span = (obs.tracer.span("cache.destage")
                 if obs is not None else NULL_SPAN)
         try:
@@ -538,8 +524,8 @@ class CacheCluster:
             if bid in self.caches:
                 self.caches[bid].clean(key)
         self.metrics.counter("destage.completed").incr()
-        if obs is not None:
-            obs.series.series("cache.destage_blocks").incr()
+        if self._destaged is not None:
+            self._destaged.incr()
         done.succeed(True)
 
     def _enqueue_dirty(self, key: BlockKey) -> None:
@@ -611,7 +597,7 @@ class CacheCluster:
         self.lost_dirty_blocks.extend(lost)
         self.metrics.counter("failure.salvaged").incr(len(salvaged))
         self.metrics.counter("failure.lost").incr(len(lost))
-        obs = self._obs() if self.sim.obs is not None else None
+        obs = self.sim.obs
         if obs is not None:
             if lost:
                 obs.log.critical("cache.pool", "dirty_data_lost",
@@ -630,7 +616,7 @@ class CacheCluster:
         is recorded so health/metrics reflect the recovery.
         """
         self.metrics.counter("failure.blade_repairs").incr()
-        obs = self._obs() if self.sim.obs is not None else None
+        obs = self.sim.obs
         if obs is not None:
             obs.log.info("cache.pool", "blade_rejoined", blade=blade_id)
 

@@ -22,6 +22,7 @@ from ..core.system import NetStorageSystem
 from ..plan.spec import SiteSpec
 from ..fs.metadata import Inode
 from ..fs.policies import DEFAULT_POLICY, FilePolicy
+from ..obs import enable
 from ..sim.events import Event
 from ..sim.faults import FAULT_EXCEPTIONS, is_fault
 from ..sim.units import gbps
@@ -43,9 +44,8 @@ class MetadataCenter:
     objects — name, plane position, and optional per-site overrides of
     the shared ``config`` (a site can run more blades or a different
     replication factor than its peers).  Sites sharing a simulator share
-    one observability bundle: the first observability-enabled system
-    creates it, the rest join (see
-    :meth:`~repro.core.system.NetStorageSystem.enable_observability`).
+    one observability bundle, attached before the WAN and the first site
+    are built when any site config asks for observability.
     """
 
     def __init__(self, sim: "Simulator",
@@ -65,11 +65,14 @@ class MetadataCenter:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate site names: {names}")
         self.sim = sim
+        base = config or SystemConfig()
+        configs = [spec.system_config(base) for spec in specs]
+        if sim.obs is None and any(c.observability for c in configs):
+            enable(sim)
         self.network = WanNetwork(sim)
         self.systems: dict[str, NetStorageSystem] = {}
-        base = config or SystemConfig()
-        for spec in specs:
-            system = NetStorageSystem(sim, spec.system_config(base))
+        for spec, cfg in zip(specs, configs):
+            system = NetStorageSystem(sim, cfg)
             system.start()
             site = Site(sim, spec.name, spec.position,
                         backend_read=system.raw_read,

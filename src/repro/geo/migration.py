@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING
 
+from ..obs.timeseries import bind_by_site
 from ..sim.events import Event
 from ..sim.faults import FAULT_EXCEPTIONS, SimulatedFault
 from .selection import ReplicaCatalog, ReplicaSelector, make_selector
@@ -92,6 +93,7 @@ class DistributedAccessManager:
         #: Candidates skipped for having no route (reads and pins).
         self.rerouted = 0
         self.prefetched_blocks = 0
+        self._wan_cost = bind_by_site(sim, "geo.select.wan_cost_s")
         self.catalog = ReplicaCatalog(access=self)
         if isinstance(selection, ReplicaSelector):
             self.selector = selection
@@ -148,10 +150,8 @@ class DistributedAccessManager:
         self.catalog.record_read(path, at.name, local=False,
                                  wan_seconds=wan_seconds,
                                  wan_bytes=self.block_size)
-        obs = self.sim.obs
-        if obs is not None:
-            obs.series.series("geo.select.wan_cost_s",
-                              site=at.name).record(wan_seconds)
+        if self._wan_cost is not None:
+            self._wan_cost[at.name].record(wan_seconds)
         # ...and prefetch the following blocks in the background (§7.1).
         self._background_prefetch(fr, block + 1, source, at)
         # Hot here by access count — or, under the cost model, by the WAN

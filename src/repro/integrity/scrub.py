@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..obs.telemetry import ComponentHealth, HealthState
+from ..obs.timeseries import bind
 from ..sim.faults import CorruptionError, FAULT_EXCEPTIONS, find_corruption
 from .repair import RepairChain, RepairRequest
 
@@ -56,6 +57,10 @@ class ScrubDaemon:
         self.repairs_failed = 0
         self.passes_completed = 0
         self._pass_started: float | None = None
+        # Level series: the scrub-lag SLO thresholds on the last pass
+        # duration, carried forward between completions.
+        self._pass_duration = bind(sim, "scrub.pass_duration_s", level=True)
+        self._misses = bind(sim, "scrub.misses")
 
     def start(self, passes: int | None = 1,
               idle_between_passes: float = 60.0) -> None:
@@ -105,11 +110,9 @@ class ScrubDaemon:
                              passes=self.passes_completed,
                              chunks=self.chunks_scrubbed,
                              misses=self.misses_found)
-                # Level series: the scrub-lag SLO thresholds on the last
-                # pass duration, carried forward between completions.
-                obs.series.level("scrub.pass_duration_s").record(
-                    self.sim.now - self._pass_started)
-                obs.series.series("scrub.misses").incr(self.misses_found)
+            if self._pass_duration is not None:
+                self._pass_duration.record(self.sim.now - self._pass_started)
+                self._misses.incr(self.misses_found)
             if passes is None or self.passes_completed < passes:
                 yield self.sim.timeout(idle)
         self.running = False

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..obs.timeseries import bind
 from ..obs.tracer import NULL_SPAN
 from ..sim.events import Event
 from ..sim.units import us
@@ -83,6 +84,8 @@ class TransportEndpoint:
         self.digests = digests
         self._corrupt_pending = 0
         self.retransmits = 0
+        self._bytes = bind(sim, "xport.bytes", protocol=profile.name)
+        self._ops = bind(sim, "xport.ops", protocol=profile.name)
 
     def corrupt_next(self, count: int = 1) -> None:
         """Arm in-flight damage on the next ``count`` operations (the
@@ -139,12 +142,9 @@ class TransportEndpoint:
                         # Digests off: the damage rides through unseen.
                         self.integrity.wire_event("wire_corrupt",
                                                   detected=False)
-            if obs is not None:
-                obs.series.series("xport.bytes",
-                                  protocol=self.profile.name).record(
-                                      float(nbytes))
-                obs.series.series("xport.ops",
-                                  protocol=self.profile.name).incr()
+            if self._bytes is not None:
+                self._bytes.record(float(nbytes))
+                self._ops.incr()
             done.succeed(nbytes)
 
         self.sim.process(run(), name=f"xport.{self.profile.name}")

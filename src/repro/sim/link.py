@@ -27,6 +27,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import TYPE_CHECKING
 
+from ..obs.timeseries import bind
 from .events import Event
 from .faults import LinkDownError
 from .resources import Resource
@@ -85,11 +86,7 @@ class FairShareLink:
         #: daemons, outage accounting) stay fingerprint-neutral.
         self.on_state_change: list = []
         self.utilization = TimeWeighted(sim)
-        # Cached per-link byte series keyed to the obs bundle it belongs
-        # to, so the per-transfer cost with observability on is two loads
-        # and an identity check instead of a registry lookup.
-        self._series_obs = None
-        self._series = None
+        self._bytes = bind(sim, "link.bytes", link=name)
 
     # -- failure control -------------------------------------------------------
 
@@ -131,12 +128,8 @@ class FairShareLink:
         if nbytes == 0:
             self._deliver(done, self.latency)
             return done
-        obs = self.sim.obs
-        if obs is not None:
-            if obs is not self._series_obs:
-                self._series_obs = obs
-                self._series = obs.series.series("link.bytes", link=self.name)
-            self._series.record(nbytes)
+        if self._bytes is not None:
+            self._bytes.record(nbytes)
         self._advance()
         heappush(self._flow_heap,
                  (self._virtual + nbytes, next(self._flow_seq),
@@ -241,8 +234,7 @@ class FcfsLink:
         #: ``fn(link, failed)`` fired on transitions (see FairShareLink).
         self.on_state_change: list = []
         self.utilization = TimeWeighted(sim)
-        self._series_obs = None
-        self._series = None
+        self._bytes = bind(sim, "link.bytes", link=name)
 
     def fail(self) -> None:
         """Flap the link down: new transfers fail with LinkDownError."""
@@ -272,12 +264,8 @@ class FcfsLink:
         if self.failed:
             done.fail(LinkDownError(f"link {self.name} is down"))
             return done
-        obs = self.sim.obs
-        if obs is not None and nbytes > 0:
-            if obs is not self._series_obs:
-                self._series_obs = obs
-                self._series = obs.series.series("link.bytes", link=self.name)
-            self._series.record(nbytes)
+        if self._bytes is not None and nbytes > 0:
+            self._bytes.record(nbytes)
         self.sim.process(self._run(nbytes, done), name=f"{self.name}.xfer")
         return done
 

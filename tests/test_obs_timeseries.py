@@ -204,13 +204,16 @@ class TestSeriesRegistry:
         a = reg.series("x", site="a", blade=1)
         b = reg.series("x", blade=1, site="a")
         assert a is b
+        b.record(1.0)
         assert len(reg) == 1
 
     def test_get_does_not_create(self):
         reg = SeriesRegistry(Simulator())
         assert reg.get("x") is None
-        reg.series("x")
-        assert reg.get("x") is not None
+        handle = reg.series("x")
+        assert reg.get("x") is handle
+        assert len(reg) == 0                   # bound, not yet observed
+        handle.record(1.0)
         assert len(reg) == 1
 
     def test_match_is_subset_match(self):
@@ -226,12 +229,30 @@ class TestSeriesRegistry:
 
     def test_match_sees_series_created_after_a_lookup(self):
         reg = SeriesRegistry(Simulator())
-        reg.series("lat", site="b")
+        reg.series("lat", site="b").record(1.0)
         assert len(reg.match("lat")) == 1
-        reg.series("lat", site="a")
+        reg.series("lat", site="a").record(1.0)
         reg.get("lat", site="c")               # a lookup creates nothing
         assert [s.labels for s in reg.match("lat")] == [
             (("site", "a"),), (("site", "b"),)]
+
+    def test_unobserved_handle_is_not_listed(self):
+        reg = SeriesRegistry(Simulator())
+        reg.series("seen").record(1.0)
+        before = (reg.to_json(), reg.to_prometheus(), reg.snapshot(),
+                  reg.format_table())
+        matched = reg.match("lat")
+        handle = reg.series("lat", blade=0)
+        reg.level("lvl", site="a")
+        assert len(reg) == 1
+        assert [s.name for s in reg.all_series()] == ["seen"]
+        assert (reg.to_json(), reg.to_prometheus(), reg.snapshot(),
+                reg.format_table()) == before
+        assert reg.match("lat") == matched == []
+        handle.record(2.0)                 # the first observation lists it
+        assert len(reg) == 2
+        assert reg.match("lat") == [handle]
+        assert 'lat{blade="0"}.sum' in reg.snapshot()
 
     def test_snapshot_keys_carry_labels(self):
         reg = SeriesRegistry(Simulator())
