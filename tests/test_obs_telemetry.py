@@ -3,7 +3,9 @@
 import json
 
 from repro import NetStorageSystem, Simulator, SystemConfig
+from repro.geo.metacenter import MetadataCenter
 from repro.obs import ComponentHealth, HealthState, ManagementPlane
+from repro.plan.spec import SiteSpec
 from repro.sim.units import mib
 
 
@@ -105,11 +107,11 @@ class TestSystemTelemetry:
     def test_per_blade_health_in_system_snapshot(self):
         sim, system = _booted_system()
         snap = system.obs.mgmt.poll()
-        blades = [c for c in snap if c.startswith("blade")]
+        blades = [c for c in snap if c.startswith("netstorage.blade")]
         assert len(blades) == 4
         assert all(snap[b].state is HealthState.UP for b in blades)
-        assert {"cluster", "cache.pool", "raid.pool",
-                "sim.kernel"} <= set(snap)
+        assert {"netstorage.cluster", "netstorage.cache.pool",
+                "netstorage.raid.pool", "sim.kernel"} <= set(snap)
         assert system.obs.mgmt.overall(snap) is HealthState.UP
 
     def test_blade_failure_degrades_the_image(self):
@@ -117,8 +119,8 @@ class TestSystemTelemetry:
         blade = next(iter(system.cluster.blades.values()))
         blade.fail()
         snap = system.obs.mgmt.poll()
-        assert snap[blade.name].state is HealthState.FAILED
-        assert snap["cluster"].state is not HealthState.UP
+        assert snap[f"netstorage.{blade.name}"].state is HealthState.FAILED
+        assert snap["netstorage.cluster"].state is not HealthState.UP
         assert system.obs.mgmt.overall(snap) is HealthState.FAILED
         # The failure also landed in the event log.
         assert system.obs.log.records(component=blade.name,
@@ -143,3 +145,20 @@ class TestSystemTelemetry:
         report = system.telemetry_report()
         assert "system up" in report
         assert "blade0" in report
+
+
+def test_three_site_plane_names_every_site_component_once():
+    sim = Simulator()
+    sites = [SiteSpec("a"), SiteSpec("b", (0.0, 400.0)),
+             SiteSpec("c", (3000.0, 1500.0))]
+    MetadataCenter(sim, sites, config=SystemConfig(
+        blade_count=2, disk_count=8, disk_capacity=mib(64),
+        observability=True, integrity=True))
+    snap = sim.obs.mgmt.poll()
+    assert all(health.component == key for key, health in snap.items())
+    components = [health.component for health in snap.values()]
+    assert len(components) == len(set(components))
+    parts = ("cluster", "raid.pool", "cache.pool", "blade0", "blade1",
+             "integrity", "integrity.repair")
+    assert {f"{site}.{part}" for site in "abc" for part in parts} \
+        <= set(snap)

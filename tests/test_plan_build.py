@@ -101,7 +101,7 @@ def test_provision_is_idempotent_and_ordered():
     assert len(built.scrubbers) == 1
     # The profiler and the injector's trackers joined the mgmt plane.
     assert built.obs.mgmt._attachments["profiler"] is built.profiler
-    assert "blade1" in built.obs.mgmt.poll()
+    assert {"blade1.recovery", "site0.blade1"} <= set(built.obs.mgmt.poll())
     # Idempotent: provisioning again arms nothing twice.
     injector = built.injector
     assert built.provision().injector is injector
