@@ -10,16 +10,8 @@ from _common import run_one
 
 from repro.core import format_table, print_experiment
 from repro.hardware import make_disk_farm
-from repro.raid import (
-    DeclusteredPool,
-    DeclusteredRebuildEngine,
-    DeclusteredRebuildJob,
-    RaidArray,
-    RaidLevel,
-    RebuildEngine,
-    RebuildJob,
-)
-from repro.sim import Simulator
+from repro.raid import DeclusteredPool, RaidArray, RaidLevel, rebuild_job
+from repro.sim import RegionEngine, Simulator
 
 CHUNK = 64 * 1024
 NARROW_CAP = 320 * CHUNK
@@ -32,8 +24,8 @@ def narrow_rebuild(workers: int) -> float:
                     RaidLevel.RAID5, chunk_size=CHUNK)
     arr.mark_failed(0)
     arr.mark_replaced(0)
-    job = RebuildJob(arr, 0, region_stripes=8)
-    RebuildEngine(sim).start(job, workers=workers)
+    job = rebuild_job(arr, 0, region=8)
+    RegionEngine(sim).start(job, workers=workers)
     sim.run(until=3600.0)
     assert job.done
     return job.finished_at - job.started_at
@@ -44,8 +36,8 @@ def declustered_rebuild(workers: int) -> float:
     disks = make_disk_farm(sim, 16, WIDE_CAP)
     pool = DeclusteredPool(sim, disks, data_per_stripe=4, chunk_size=CHUNK)
     pool.mark_failed(0)
-    job = DeclusteredRebuildJob(pool, 0, region_stripes=8)
-    DeclusteredRebuildEngine(sim).start(job, workers=workers)
+    job = rebuild_job(pool, 0, region=8)
+    RegionEngine(sim).start(job, workers=workers)
     sim.run(until=3600.0)
     assert job.done
     return job.finished_at - job.started_at

@@ -16,13 +16,9 @@ from _common import run_one
 from repro.core import format_latency_breakdown, format_table, print_experiment
 from repro.obs import Severity, enable as enable_obs
 from repro.hardware import ControllerBlade, make_disk_farm
-from repro.raid import (
-    DeclusteredPool,
-    DeclusteredRebuildEngine,
-    DeclusteredRebuildJob,
-)
+from repro.raid import DeclusteredPool, rebuild_job
 from repro.cluster import ClusterMembership, ClusterRebuildCoordinator
-from repro.sim import Simulator, Tally
+from repro.sim import RegionEngine, Simulator, Tally
 from repro.sim.units import mib
 
 CHUNK = 64 * 1024
@@ -42,8 +38,8 @@ def rebuild_time(workers: int, io_priority: float = 10.0,
                  with_foreground: bool = False):
     sim = Simulator()
     pool = make_pool(sim)
-    job = DeclusteredRebuildJob(pool, 0, region_stripes=8)
-    DeclusteredRebuildEngine(sim, io_priority=io_priority).start(
+    job = rebuild_job(pool, 0, region=8)
+    RegionEngine(sim, io_priority=io_priority).start(
         job, workers=workers)
     foreground = Tally()
     if with_foreground:
@@ -90,8 +86,8 @@ def test_e04e_rebuild_stage_breakdown(benchmark):
         sim = Simulator()
         obs = enable_obs(sim)
         pool = make_pool(sim)
-        job = DeclusteredRebuildJob(pool, 0, region_stripes=8)
-        DeclusteredRebuildEngine(sim, io_priority=10.0).start(job, workers=4)
+        job = rebuild_job(pool, 0, region=8)
+        RegionEngine(sim, io_priority=10.0).start(job, workers=4)
         sim.run(until=600.0)
         assert job.done
         return obs, job
@@ -103,13 +99,13 @@ def test_e04e_rebuild_stage_breakdown(benchmark):
         format_latency_breakdown(obs.tracer.breakdown()))
     progress = obs.log.records(component="raid.drebuild", kind="region_done")
     completed = obs.log.records(component="raid.drebuild",
-                                kind="rebuild_completed")
+                                kind="job_completed")
     print(obs.log.render(min_severity=Severity.INFO))
     # One span per checked-out region; every region logged its ETA.
     regions = obs.tracer.breakdown()["raid.drebuild.region"]
     assert regions["count"] == len(progress)
     assert len(completed) == 1
-    assert dict(completed[0].attrs)["stripes"] == job.total
+    assert dict(completed[0].attrs)["items"] == job.total
     # ETAs shrink to zero as the queue drains (monotone progress counts).
     counts = [dict(r.attrs)["completed"] for r in progress]
     assert counts == sorted(counts)
@@ -156,7 +152,7 @@ def test_e04d_distributed_backup_scales(benchmark):
     """§2.4 also names backups among the distributable management
     services: streaming a snapshot to the tape library scales with
     workers until the tape link saturates, at background priority."""
-    from repro.cluster import BackupEngine, BackupJob
+    from repro.cluster import backup_job
     from repro.sim import FairShareLink
     from repro.sim.units import mb_per_s, mib
     from repro.virt import (
@@ -188,9 +184,8 @@ def test_e04d_distributed_backup_scales(benchmark):
             sim.process(run(), name="backup.poolread")
             return done
 
-        engine = BackupEngine(sim, pool_read, tape)
-        job = BackupJob(snap, region_pages=4)
-        engine.start(job, workers=workers)
+        job = backup_job(snap, pool_read, tape, region=4)
+        RegionEngine(sim).start(job, workers=workers)
         sim.run()
         assert job.done
         return job.finished_at - job.started_at
@@ -220,7 +215,7 @@ def test_e04c_rebuild_survives_controller_failure(benchmark):
         blades = [ControllerBlade(sim, i) for i in range(4)]
         membership = ClusterMembership(sim, blades, detection_delay=0.05)
         coordinator = ClusterRebuildCoordinator(sim, membership)
-        job = DeclusteredRebuildJob(pool, 0, region_stripes=8)
+        job = rebuild_job(pool, 0, region=8)
         coordinator.start(job)
 
         def killer():

@@ -1,6 +1,8 @@
-"""Controller cluster: membership, load balancing, upgrades, rebuild (§2, §6)."""
+"""Controller cluster: membership, load balancing, upgrades, and the
+management services (rebuilds, backups) whose workers live on blades
+(§2, §6)."""
 
-from .backup import BackupEngine, BackupJob
+from .backup import backup_job
 from .balancer import LoadBalancer, NoBladesAvailableError
 from .cluster import ControllerCluster
 from .membership import ClusterMembership
@@ -8,8 +10,6 @@ from .rebuild import ClusterRebuildCoordinator
 from .upgrade import RollingUpgrade, UpgradeAbortedError
 
 __all__ = [
-    "BackupEngine",
-    "BackupJob",
     "ClusterMembership",
     "ClusterRebuildCoordinator",
     "ControllerCluster",
@@ -17,4 +17,5 @@ __all__ = [
     "NoBladesAvailableError",
     "RollingUpgrade",
     "UpgradeAbortedError",
+    "backup_job",
 ]

@@ -6,109 +6,35 @@ backups, and point-in-time copies, would go faster and not impede active
 I/O rates being delivered to servers."
 
 A backup streams a point-in-time snapshot's mapped pages to a backup
-target (a tape library / VTL behind a shared link).  Pages are parceled
-into regions pulled from a queue by per-blade workers — the same
-fault-tolerant pattern as the rebuild engine — reading the pool at
+target (a tape library / VTL behind a shared link).  It is a
+:class:`~repro.sim.regions.RegionJob` over the pages, run by the same
+engine and workers as a rebuild, reading the pool at the engine's
 background priority so foreground service is undisturbed.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from ..sim.events import Event
 from ..sim.link import FairShareLink
-from ..sim.process import Interrupt, Process
+from ..sim.regions import RegionJob
 from ..virt.snapshot import Snapshot
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.engine import Simulator
 
 #: pool_read(nbytes, priority) -> Event — how a worker fetches page data.
 PoolRead = Callable[[int, float], Event]
 
 
-class BackupJob:
-    """State of one snapshot backup: regions of pages to stream."""
+def backup_job(snapshot: Snapshot, pool_read: PoolRead,
+               target_link: FairShareLink, region: int = 32) -> RegionJob:
+    """Backup of ``snapshot``: each step reads one page from the pool and
+    streams it to ``target_link``.  Bytes backed up are
+    ``job.completed * snapshot.page_size``."""
+    page_size = snapshot.page_size
 
-    def __init__(self, snapshot: Snapshot, region_pages: int = 32) -> None:
-        if region_pages < 1:
-            raise ValueError(f"region_pages must be >= 1, got {region_pages}")
-        self.snapshot = snapshot
-        self.page_size = snapshot.page_size
-        pages = sorted(snapshot._table)
-        self.total_pages = len(pages)
-        self.pending: list[list[int]] = [
-            pages[i:i + region_pages]
-            for i in range(0, len(pages), region_pages)
-        ]
-        self.completed_pages = 0
-        self.done = False
-        self.started_at: float | None = None
-        self.finished_at: float | None = None
+    def step(_page: int, priority: float):
+        yield pool_read(page_size, priority)
+        yield target_link.transfer(page_size)
 
-    @property
-    def progress(self) -> float:
-        return (self.completed_pages / self.total_pages
-                if self.total_pages else 1.0)
-
-    def checkout(self) -> list[int] | None:
-        """Take the next page region, or None when the queue is empty."""
-        return self.pending.pop(0) if self.pending else None
-
-    def give_back(self, pages: list[int]) -> None:
-        """Return an unfinished region (worker died mid-region)."""
-        self.pending.insert(0, pages)
-
-
-class BackupEngine:
-    """Streams backup jobs through per-blade workers to a target link."""
-
-    def __init__(self, sim: "Simulator", pool_read: PoolRead,
-                 target_link: FairShareLink,
-                 io_priority: float = 10.0) -> None:
-        self.sim = sim
-        self.pool_read = pool_read
-        self.target_link = target_link
-        self.io_priority = io_priority
-        self.bytes_backed_up = 0
-
-    def start(self, job: BackupJob, workers: int = 1) -> list[Process]:
-        """Spawn ``workers`` backup workers; returns their processes."""
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if job.started_at is None:
-            job.started_at = self.sim.now
-        if job.total_pages == 0:
-            job.done = True
-            job.finished_at = self.sim.now
-            return []
-        return [self.sim.process(self._worker(job), name=f"backup.w{i}")
-                for i in range(workers)]
-
-    def add_worker(self, job: BackupJob) -> Process:
-        """Scale out an in-flight backup with one more worker."""
-        return self.sim.process(self._worker(job), name="backup.extra")
-
-    def _worker(self, job: BackupJob):
-        while True:
-            region = job.checkout()
-            if region is None:
-                break
-            idx = 0
-            try:
-                while idx < len(region):
-                    # Read the page at background priority, then stream it
-                    # to the backup target.
-                    yield self.pool_read(job.page_size, self.io_priority)
-                    yield self.target_link.transfer(job.page_size)
-                    self.bytes_backed_up += job.page_size
-                    job.completed_pages += 1
-                    idx += 1
-            except Interrupt:
-                job.give_back(region[idx:])
-                return
-        if not job.done and not job.pending \
-                and job.completed_pages >= job.total_pages:
-            job.done = True
-            job.finished_at = self.sim.now
+    return RegionJob("backup", sorted(snapshot._table), step, region,
+                     snapshot=snapshot.name)

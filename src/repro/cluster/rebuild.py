@@ -3,9 +3,10 @@
 "Rebuilds would be distributed, in a fault tolerant fashion, across the
 controllers within the cluster.  If a controller failed during a rebuild,
 the rebuild would automatically continue on other available controllers."
-The coordinator assigns one rebuild worker per participating blade, wires
+The coordinator assigns one worker of a rebuild
+:class:`~repro.sim.regions.RegionJob` per participating blade, wires
 membership so a blade failure interrupts its worker (the region returns
-to the queue), and optionally re-spawns the lost worker on a survivor.
+to the queue), and re-spawns the lost worker on a survivor.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..hardware.blade import ControllerBlade
-from ..raid.decluster import DeclusteredRebuildEngine, DeclusteredRebuildJob
+from ..sim.regions import RegionEngine, RegionJob
 from .membership import ClusterMembership
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -22,19 +23,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ClusterRebuildCoordinator:
-    """Maps declustered rebuild workers onto live controller blades."""
+    """Maps rebuild workers onto live controller blades."""
 
     def __init__(self, sim: "Simulator", membership: ClusterMembership,
                  io_priority: float = 10.0) -> None:
         self.sim = sim
         self.membership = membership
-        self.engine = DeclusteredRebuildEngine(sim, io_priority=io_priority)
+        self.engine = RegionEngine(sim, io_priority=io_priority)
         self._assignments: dict[int, "Process"] = {}  # blade -> worker
-        self._job: DeclusteredRebuildJob | None = None
+        self._job: RegionJob | None = None
         self.respawned = 0
         membership.on_change(self._on_membership)
 
-    def start(self, job: DeclusteredRebuildJob,
+    def start(self, job: RegionJob,
               blades: list[int] | None = None) -> list["Process"]:
         """Launch one worker per blade (default: every live blade)."""
         if self._job is not None and not self._job.done:
@@ -43,11 +44,8 @@ class ClusterRebuildCoordinator:
         targets = blades if blades is not None else self.membership.live_ids()
         if not targets:
             raise RuntimeError("no live blades to host rebuild workers")
-        workers = []
-        for blade_id in targets:
-            worker = self.engine.start(job, workers=1)[0]
-            self._assignments[blade_id] = worker
-            workers.append(worker)
+        workers = self.engine.start(job, workers=len(targets))
+        self._assignments.update(zip(targets, workers))
         return workers
 
     @property

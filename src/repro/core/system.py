@@ -27,7 +27,8 @@ from ..obs.tracer import NULL_SPAN
 from ..fs.policies import DEFAULT_POLICY, FilePolicy
 from ..hardware.blade import BladeState, ControllerBlade
 from ..hardware.disk import make_disk_farm
-from ..raid.decluster import DeclusteredPool, DeclusteredRebuildJob
+from ..raid.decluster import DeclusteredPool
+from ..raid.rebuild import rebuild_job
 from ..security.auth import Authenticator
 from ..security.lun_masking import LunMaskingTable
 from ..security.zones import SecureInstallation, hardened_installation, naive_installation
@@ -38,6 +39,7 @@ from .config import SystemConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Simulator
+    from ..sim.regions import RegionJob
 
 
 class NetStorageSystem:
@@ -105,6 +107,7 @@ class NetStorageSystem:
         self._started = False
         self._raw_recent: list = []
         self._raw_cursor = 0
+        self._raw_seq = 0
 
         if self.obs is not None:
             self._register_health()
@@ -562,8 +565,6 @@ class NetStorageSystem:
                          name=f"system.raw_{op}")
         return done
 
-    _raw_seq = 0
-
     def _raw_run(self, nbytes: int, op: str, done: Event):
         block = self.config.block_size
         pending: list[Event] = []
@@ -578,8 +579,10 @@ class NetStorageSystem:
                                        % len(self._raw_recent)]
                 self._raw_cursor += 1
             else:
-                NetStorageSystem._raw_seq += 1
-                key = ("raw", id(self), NetStorageSystem._raw_seq)
+                # Keyed by site name, not object identity, so the key's
+                # hashed disk offset is the same in every process.
+                self._raw_seq += 1
+                key = ("raw", self.config.name, self._raw_seq)
                 if op == "write":
                     self._raw_recent.append(key)
                     if len(self._raw_recent) > 4096:
@@ -617,10 +620,10 @@ class NetStorageSystem:
             self.pfs.blade_ids.append(blade.blade_id)
         return added
 
-    def fail_disk_and_rebuild(self, disk_index: int) -> DeclusteredRebuildJob:
+    def fail_disk_and_rebuild(self, disk_index: int) -> RegionJob:
         """Kill a disk and start a cluster-distributed rebuild."""
         self.pool.mark_failed(disk_index)
-        job = DeclusteredRebuildJob(self.pool, disk_index)
+        job = rebuild_job(self.pool, disk_index)
         self.cluster.rebuild_coordinator.start(job)
         if self.obs is not None:
             component = f"rebuild.disk{disk_index}"

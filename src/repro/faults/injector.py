@@ -26,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..geo.metacenter import MetadataCenter
     from ..obs.telemetry import ManagementPlane
     from ..sim.engine import Simulator
+    from ..sim.regions import RegionJob
 
 ApplyFn = Callable[[FaultSpec], None]
 
@@ -284,7 +285,7 @@ class FaultInjector:
 
         self.register(FaultKind.DISK_FAIL, target, fail_disk)
 
-    def _watch_rebuild(self, job, tracker: RecoveryTracker,
+    def _watch_rebuild(self, job: "RegionJob", tracker: RecoveryTracker,
                        poll: float = 60.0, max_checks: int = 20000) -> None:
         """Flip the tracker to UP when a rebuild job completes.
 

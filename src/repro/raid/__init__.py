@@ -1,11 +1,7 @@
-"""RAID: layouts, parity math, arrays, and the distributed rebuild engine."""
+"""RAID: layouts, parity math, arrays, declustered pools, and rebuild jobs."""
 
 from .array import RaidArray, UnrecoverableArrayError, coalesce
-from .decluster import (
-    DeclusteredPool,
-    DeclusteredRebuildEngine,
-    DeclusteredRebuildJob,
-)
+from .decluster import DeclusteredPool
 from .layout import ChunkAddress, IoOp, RaidLayout, RaidLevel
 from .parity import (
     gf_div,
@@ -19,19 +15,15 @@ from .parity import (
     raid6_recover_two_data,
     xor_parity,
 )
-from .rebuild import RebuildEngine, RebuildJob
+from .rebuild import rebuild_job
 
 __all__ = [
     "ChunkAddress",
     "DeclusteredPool",
-    "DeclusteredRebuildEngine",
-    "DeclusteredRebuildJob",
     "IoOp",
     "RaidArray",
     "RaidLayout",
     "RaidLevel",
-    "RebuildEngine",
-    "RebuildJob",
     "UnrecoverableArrayError",
     "coalesce",
     "gf_div",
@@ -43,5 +35,6 @@ __all__ = [
     "raid6_pq",
     "raid6_recover_one_data",
     "raid6_recover_two_data",
+    "rebuild_job",
     "xor_parity",
 ]

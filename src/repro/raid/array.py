@@ -52,6 +52,9 @@ class RaidArray:
     execution just fans the plan out to disks and waits on the barrier.
     """
 
+    #: Component of a rebuild job's spans and log records.
+    rebuild_component = "raid.rebuild"
+
     def __init__(self, sim: "Simulator", disks: list[Disk], level: RaidLevel,
                  chunk_size: int = 64 * 1024, name: str = "array") -> None:
         if not disks:
@@ -249,3 +252,50 @@ class RaidArray:
     def write(self, offset: int, nbytes: int, priority: float = 0.0) -> Event:
         """Plan and execute a logical write (parity updates included)."""
         return self.execute_plan(self.write_plan(offset, nbytes), priority)
+
+    # -- rebuild ------------------------------------------------------------------------
+
+    def rebuild_stripes(self, disk_index: int) -> range:
+        """Every stripe: a replaced disk comes back empty."""
+        if disk_index in self.failed:
+            raise ValueError("replace the disk (mark_replaced) before rebuilding")
+        return range(self.disks[0].capacity // self.layout.chunk_size)
+
+    def rebuild_stripe(self, disk_index: int, stripe: int, priority: float):
+        """Region-job step: read the surviving members, write the rebuilt
+        chunk back to ``disk_index``."""
+        layout = self.layout
+        chunk = layout.chunk_size
+        offset = stripe * chunk
+        reads = []
+        if layout.level in (RaidLevel.RAID1, RaidLevel.RAID10):
+            source = self._mirror_peer(disk_index)
+            reads.append(self.disks[source].read(offset, chunk, priority))
+        else:
+            data_disks, parity = layout.stripe_members(stripe)
+            for member in (*data_disks, *parity):
+                if member == disk_index or member in self.failed:
+                    continue
+                reads.append(self.disks[member].read(offset, chunk, priority))
+        barrier = self.sim.all_of(reads)
+        write = self.sim.event()
+
+        def after_reads(_ev):
+            self.disks[disk_index].write(offset, chunk, priority) \
+                .add_callback(lambda ev: write.succeed() if ev.ok
+                              else write.fail(ev.value))
+
+        barrier.add_callback(lambda ev: after_reads(ev) if ev.ok
+                             else write.fail(ev.value))
+        yield write
+
+    def _mirror_peer(self, disk_index: int) -> int:
+        if self.level is RaidLevel.RAID1:
+            candidates = [i for i in range(len(self.disks))
+                          if i != disk_index and i not in self.failed]
+        else:  # RAID10: partner within the pair
+            partner = disk_index ^ 1
+            candidates = [partner] if partner not in self.failed else []
+        if not candidates:
+            raise RuntimeError("no surviving mirror to rebuild from")
+        return candidates[0]

@@ -20,9 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..hardware.disk import Disk
-from ..obs.tracer import NULL_SPAN
 from ..sim.events import Event
-from ..sim.process import Interrupt, Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Simulator
@@ -48,6 +46,9 @@ class DeclusteredPool:
     hash-derived slot on each member disk, which spreads rebuild traffic
     spatially as well as across spindles.
     """
+
+    #: Component of a rebuild job's spans and log records.
+    rebuild_component = "raid.drebuild"
 
     def __init__(self, sim: "Simulator", disks: list[Disk],
                  data_per_stripe: int = 4, chunk_size: int = 64 * 1024,
@@ -115,6 +116,37 @@ class DeclusteredPool:
         return [s for s in range(self.stripe_count)
                 if disk in self.stripe_members(s)]
 
+    def rebuild_stripes(self, disk: int) -> list[int]:
+        """The stripes a rebuild of failed ``disk`` must redo."""
+        if disk not in self.failed:
+            raise ValueError("mark the disk failed before rebuilding")
+        return self.stripes_on_disk(disk)
+
+    def rebuild_stripe(self, disk: int, stripe: int, priority: float):
+        """Region-job step: read the stripe's surviving peers, write the
+        rebuilt chunk to a distributed spare."""
+        reads = []
+        for peer in self.stripe_members(stripe):
+            if peer == disk or peer in self.failed:
+                continue
+            reads.append(self.disks[peer].read(
+                self.chunk_slot(stripe, peer), self.chunk_size, priority))
+        barrier = self.sim.all_of(reads)
+        done = Event(self.sim)
+        spare = self.spare_target(stripe, disk)
+
+        def after_reads(ev: Event) -> None:
+            if not ev.ok:
+                done.fail(ev.value)
+                return
+            self.disks[spare].write(
+                self.chunk_slot(stripe, spare), self.chunk_size,
+                priority).add_callback(
+                    lambda w: done.succeed() if w.ok else done.fail(w.value))
+
+        barrier.add_callback(after_reads)
+        yield done
+
     # -- health --------------------------------------------------------------------
 
     def mark_failed(self, disk_index: int) -> None:
@@ -171,136 +203,3 @@ class DeclusteredPool:
             done.succeed(0)
             return done
         return self.sim.all_of(events)
-
-
-class DeclusteredRebuildJob:
-    """Rebuild of one failed disk's chunks into distributed spare space."""
-
-    def __init__(self, pool: DeclusteredPool, failed_disk: int,
-                 region_stripes: int = 64) -> None:
-        if failed_disk not in pool.failed:
-            raise ValueError("mark the disk failed before rebuilding")
-        self.pool = pool
-        self.failed_disk = failed_disk
-        self.stripes = pool.stripes_on_disk(failed_disk)
-        self.total = len(self.stripes)
-        self.pending: list[list[int]] = [
-            self.stripes[i:i + region_stripes]
-            for i in range(0, self.total, region_stripes)
-        ]
-        self.completed = 0
-        self.done = False
-        self.started_at: float | None = None
-        self.finished_at: float | None = None
-
-    @property
-    def progress(self) -> float:
-        return self.completed / self.total if self.total else 1.0
-
-    def eta(self, now: float) -> float | None:
-        """Seconds to completion at the observed rate; 0 when done, None
-        before any progress has been made."""
-        if self.done:
-            return 0.0
-        if self.started_at is None or self.completed == 0:
-            return None
-        elapsed = now - self.started_at
-        if elapsed <= 0:
-            return None
-        rate = self.completed / elapsed
-        return (self.total - self.completed) / rate
-
-    def checkout(self) -> list[int] | None:
-        """Take the next stripe region, or None when the queue is empty."""
-        return self.pending.pop(0) if self.pending else None
-
-    def give_back(self, stripes: list[int]) -> None:
-        """Return an unfinished region (worker died mid-region)."""
-        self.pending.insert(0, stripes)
-
-
-class DeclusteredRebuildEngine:
-    """Workers pull stripe regions; reads and spare writes spread pool-wide."""
-
-    def __init__(self, sim: "Simulator", io_priority: float = 10.0) -> None:
-        self.sim = sim
-        self.io_priority = io_priority
-
-    def start(self, job: DeclusteredRebuildJob, workers: int = 1) -> list[Process]:
-        """Spawn ``workers`` rebuild workers; returns their processes."""
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if job.started_at is None:
-            job.started_at = self.sim.now
-            if self.sim.obs is not None:
-                self.sim.obs.log.info("raid.drebuild", "rebuild_started",
-                                      stripes=job.total, workers=workers,
-                                      failed_disk=job.failed_disk)
-        return [self.sim.process(self._worker(job), name=f"drebuild.w{i}")
-                for i in range(workers)]
-
-    def add_worker(self, job: DeclusteredRebuildJob) -> Process:
-        """Scale out an in-flight rebuild (replacement for a dead worker)."""
-        return self.sim.process(self._worker(job), name="drebuild.extra")
-
-    def _worker(self, job: DeclusteredRebuildJob):
-        pool = job.pool
-        obs = self.sim.obs
-        while True:
-            region = job.checkout()
-            if region is None:
-                break
-            idx = 0
-            span = (obs.tracer.span("raid.drebuild.region",
-                                    stripes=len(region))
-                    if obs is not None else NULL_SPAN)
-            try:
-                with span:
-                    while idx < len(region):
-                        stripe = region[idx]
-                        yield self._rebuild_stripe(pool, job, stripe)
-                        idx += 1
-                        job.completed += 1
-            except Interrupt:
-                if obs is not None:
-                    obs.log.warning("raid.drebuild", "worker_interrupted",
-                                    returned_stripes=len(region) - idx)
-                job.give_back(region[idx:])
-                return
-            if obs is not None:
-                obs.log.debug("raid.drebuild", "region_done",
-                              completed=job.completed, total=job.total,
-                              eta_s=job.eta(self.sim.now))
-        if not job.done and not job.pending and job.completed >= job.total:
-            job.done = True
-            job.finished_at = self.sim.now
-            if obs is not None:
-                obs.log.info("raid.drebuild", "rebuild_completed",
-                             stripes=job.total,
-                             seconds=self.sim.now - (job.started_at or 0.0))
-
-    def _rebuild_stripe(self, pool: DeclusteredPool,
-                        job: DeclusteredRebuildJob, stripe: int) -> Event:
-        members = pool.stripe_members(stripe)
-        reads = []
-        for peer in members:
-            if peer == job.failed_disk or peer in pool.failed:
-                continue
-            reads.append(pool.disks[peer].read(
-                pool.chunk_slot(stripe, peer), pool.chunk_size,
-                self.io_priority))
-        barrier = self.sim.all_of(reads)
-        done = Event(self.sim)
-        spare = pool.spare_target(stripe, job.failed_disk)
-
-        def after_reads(ev: Event) -> None:
-            if not ev.ok:
-                done.fail(ev.value)
-                return
-            pool.disks[spare].write(
-                pool.chunk_slot(stripe, spare), pool.chunk_size,
-                self.io_priority).add_callback(
-                    lambda w: done.succeed() if w.ok else done.fail(w.value))
-
-        barrier.add_callback(after_reads)
-        return done

@@ -1,188 +1,26 @@
-"""Rebuild engine: reconstructing a replaced disk from its peers.
+"""Rebuild: reconstructing a lost disk's chunks from its peers.
 
-§2.4/§6.3 claim distributed, fault-tolerant rebuilds: work is split into
-stripe *regions* pulled from a shared queue by any number of workers (the
-cluster layer maps workers onto controller blades), so rebuild rate scales
-with workers until the member disks saturate, and a worker dying simply
-returns its region to the queue for the survivors.
+§2.4/§6.3 claim distributed, fault-tolerant rebuilds.  A rebuild is a
+:class:`~repro.sim.regions.RegionJob` over the stripes the disk held:
+workers on any number of blades pull stripe regions from its queue, so
+the rebuild rate scales with workers until the member disks saturate,
+and a dying worker returns its region to the survivors.  The layout owns
+the per-stripe work (``rebuild_stripes``/``rebuild_stripe``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from functools import partial
 
-from ..obs.tracer import NULL_SPAN
-from ..sim.process import Interrupt, Process
+from ..sim.regions import RegionJob
 from .array import RaidArray
-from .layout import RaidLevel
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.engine import Simulator
+from .decluster import DeclusteredPool
 
 
-class RebuildJob:
-    """State of one rebuild: the target disk and the remaining regions."""
-
-    def __init__(self, array: RaidArray, disk_index: int,
-                 region_stripes: int = 64) -> None:
-        if disk_index in array.failed:
-            raise ValueError("replace the disk (mark_replaced) before rebuilding")
-        self.array = array
-        self.disk_index = disk_index
-        layout = array.layout
-        total_stripes = array.disks[0].capacity // layout.chunk_size
-        self.total_stripes = int(total_stripes)
-        self.region_stripes = region_stripes
-        self.pending: list[tuple[int, int]] = []
-        start = 0
-        while start < self.total_stripes:
-            end = min(start + region_stripes, self.total_stripes)
-            self.pending.append((start, end))
-            start = end
-        self.completed_stripes = 0
-        self.done = False
-        self.started_at: float | None = None
-        self.finished_at: float | None = None
-
-    @property
-    def progress(self) -> float:
-        """Fraction of stripes rebuilt, 0..1."""
-        if self.total_stripes == 0:
-            return 1.0
-        return self.completed_stripes / self.total_stripes
-
-    def eta(self, now: float) -> float | None:
-        """Seconds to completion at the observed rate; 0 when done, None
-        before any progress has been made."""
-        if self.done:
-            return 0.0
-        if self.started_at is None or self.completed_stripes == 0:
-            return None
-        elapsed = now - self.started_at
-        if elapsed <= 0:
-            return None
-        rate = self.completed_stripes / elapsed
-        return (self.total_stripes - self.completed_stripes) / rate
-
-    def checkout(self) -> tuple[int, int] | None:
-        """Take the next region to rebuild, or None when queue is empty."""
-        return self.pending.pop(0) if self.pending else None
-
-    def give_back(self, region: tuple[int, int]) -> None:
-        """Return an unfinished region (worker died mid-region)."""
-        self.pending.insert(0, region)
-
-
-class RebuildEngine:
-    """Runs rebuild workers against a :class:`RebuildJob`.
-
-    ``io_priority`` defaults to background (larger number = lower priority)
-    so rebuild traffic yields to foreground I/O at the disks — the paper's
-    "not impede active I/O rates" property.
-    """
-
-    def __init__(self, sim: "Simulator", io_priority: float = 10.0) -> None:
-        self.sim = sim
-        self.io_priority = io_priority
-
-    def start(self, job: RebuildJob, workers: int = 1) -> list[Process]:
-        """Spawn ``workers`` rebuild processes; returns their process events."""
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if job.started_at is None:
-            job.started_at = self.sim.now
-            if self.sim.obs is not None:
-                self.sim.obs.log.info("raid.rebuild", "rebuild_started",
-                                      stripes=job.total_stripes,
-                                      workers=workers)
-        return [self.sim.process(self._worker(job), name=f"rebuild.w{i}")
-                for i in range(workers)]
-
-    def add_worker(self, job: RebuildJob) -> Process:
-        """Scale out an in-flight rebuild (e.g. a blade became idle)."""
-        return self.sim.process(self._worker(job), name="rebuild.extra")
-
-    def _worker(self, job: RebuildJob):
-        array = job.array
-        layout = array.layout
-        chunk = layout.chunk_size
-        obs = self.sim.obs
-        while True:
-            region = job.checkout()
-            if region is None:
-                break
-            start, end = region
-            stripe = start
-            span = (obs.tracer.span("raid.rebuild.region",
-                                    start=start, end=end)
-                    if obs is not None else NULL_SPAN)
-            try:
-                with span:
-                    while stripe < end:
-                        yield self._rebuild_stripe(job, stripe)
-                        stripe += 1
-                        job.completed_stripes += 1
-            except Interrupt:
-                # Worker's blade died: return the unfinished tail.
-                if obs is not None:
-                    obs.log.warning("raid.rebuild", "worker_interrupted",
-                                    returned_stripes=end - stripe)
-                if stripe < end:
-                    job.give_back((stripe, end))
-                return
-            if obs is not None:
-                obs.log.debug("raid.rebuild", "region_done",
-                              completed=job.completed_stripes,
-                              total=job.total_stripes,
-                              eta_s=job.eta(self.sim.now))
-        if not job.done and not job.pending and \
-                job.completed_stripes >= job.total_stripes:
-            job.done = True
-            job.finished_at = self.sim.now
-            if obs is not None:
-                obs.log.info("raid.rebuild", "rebuild_completed",
-                             stripes=job.total_stripes,
-                             seconds=self.sim.now - (job.started_at or 0.0))
-        _ = chunk  # chunk size referenced via _rebuild_stripe
-
-    def _rebuild_stripe(self, job: RebuildJob, stripe: int):
-        """One stripe: read surviving members, write the rebuilt chunk."""
-        array = job.array
-        layout = array.layout
-        chunk = layout.chunk_size
-        offset = stripe * chunk
-        reads = []
-        if layout.level in (RaidLevel.RAID1, RaidLevel.RAID10):
-            source = self._mirror_peer(array, job.disk_index)
-            reads.append(array.disks[source].read(offset, chunk,
-                                                  self.io_priority))
-        else:
-            data_disks, parity = layout.stripe_members(stripe)
-            for member in (*data_disks, *parity):
-                if member == job.disk_index or member in array.failed:
-                    continue
-                reads.append(array.disks[member].read(offset, chunk,
-                                                      self.io_priority))
-        barrier = self.sim.all_of(reads)
-        write = self.sim.event()
-
-        def after_reads(_ev):
-            array.disks[job.disk_index].write(offset, chunk, self.io_priority) \
-                .add_callback(lambda ev: write.succeed() if ev.ok
-                              else write.fail(ev.value))
-
-        barrier.add_callback(lambda ev: after_reads(ev) if ev.ok
-                             else write.fail(ev.value))
-        return write
-
-    @staticmethod
-    def _mirror_peer(array: RaidArray, disk_index: int) -> int:
-        if array.layout.level is RaidLevel.RAID1:
-            candidates = [i for i in range(len(array.disks))
-                          if i != disk_index and i not in array.failed]
-        else:  # RAID10: partner within the pair
-            partner = disk_index ^ 1
-            candidates = [partner] if partner not in array.failed else []
-        if not candidates:
-            raise RuntimeError("no surviving mirror to rebuild from")
-        return candidates[0]
+def rebuild_job(target: RaidArray | DeclusteredPool, disk: int,
+                region: int = 64) -> RegionJob:
+    """Rebuild of ``disk``: a RAID group rewrites the replaced disk in
+    place (``raid.rebuild``); a declustered pool rebuilds the failed
+    disk's chunks into distributed spare space (``raid.drebuild``)."""
+    return RegionJob(target.rebuild_component, target.rebuild_stripes(disk),
+                     partial(target.rebuild_stripe, disk), region, disk=disk)

@@ -3,7 +3,8 @@
 This package is the substrate substitution for the paper's physical testbed
 (controller blades, Fibre Channel fabrics, WAN circuits): a small,
 SimPy-style event kernel with generator processes, queueing resources,
-fluid fair-share links, metric collectors, and seeded RNG streams.
+fluid fair-share links, metric collectors, seeded RNG streams, and the
+region-work engine that runs rebuilds and backups.
 """
 
 from .engine import SimulationError, Simulator
@@ -17,6 +18,7 @@ from .faults import (
 )
 from .link import FairShareLink, FcfsLink
 from .process import Interrupt, Process
+from .regions import RegionEngine, RegionJob
 from .replications import (
     ReplicationSummary,
     replicate,
@@ -44,6 +46,8 @@ __all__ = [
     "MetricSet",
     "PriorityResource",
     "Process",
+    "RegionEngine",
+    "RegionJob",
     "ReplicationSummary",
     "Request",
     "Resource",

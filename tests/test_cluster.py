@@ -11,7 +11,7 @@ from repro.cluster import (
     UpgradeAbortedError,
 )
 from repro.hardware import ControllerBlade, make_disk_farm
-from repro.raid import DeclusteredPool, DeclusteredRebuildJob
+from repro.raid import DeclusteredPool, rebuild_job
 from repro.sim import Simulator
 
 
@@ -228,7 +228,7 @@ class TestRebuildCoordination:
         sim = Simulator()
         ms = make_membership(sim, n=4)
         coord = ClusterRebuildCoordinator(sim, ms)
-        job = DeclusteredRebuildJob(self.make_pool(sim), 0, region_stripes=8)
+        job = rebuild_job(self.make_pool(sim), 0, region=8)
         workers = coord.start(job)
         assert len(workers) == 4
         sim.run()
@@ -238,7 +238,7 @@ class TestRebuildCoordination:
         sim = Simulator()
         ms = make_membership(sim, n=3, detection_delay=0.01)
         coord = ClusterRebuildCoordinator(sim, ms)
-        job = DeclusteredRebuildJob(self.make_pool(sim), 0, region_stripes=4)
+        job = rebuild_job(self.make_pool(sim), 0, region=4)
         coord.start(job)
 
         def killer():
@@ -255,7 +255,7 @@ class TestRebuildCoordination:
         ms = make_membership(sim, n=2)
         coord = ClusterRebuildCoordinator(sim, ms)
         pool = self.make_pool(sim)
-        job = DeclusteredRebuildJob(pool, 0, region_stripes=8)
+        job = rebuild_job(pool, 0, region=8)
         coord.start(job)
         with pytest.raises(RuntimeError):
-            coord.start(DeclusteredRebuildJob(pool, 0, region_stripes=8))
+            coord.start(rebuild_job(pool, 0, region=8))

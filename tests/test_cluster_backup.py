@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cluster import BackupEngine, BackupJob
-from repro.sim import FairShareLink, Simulator
+from repro.cluster import backup_job
+from repro.sim import FairShareLink, RegionEngine, Simulator
 from repro.sim.units import mb_per_s, mib
 from repro.virt import Allocator, DemandMappedDevice, StoragePool, take_snapshot
 
@@ -17,28 +17,28 @@ def make_snapshot(pages=24):
     return dmsd, take_snapshot(dmsd, "nightly")
 
 
-def make_engine(sim, tape_rate=mb_per_s(200), pool_rate=mb_per_s(400)):
+def make_job(sim, snap, region=32, tape_rate=mb_per_s(200),
+             pool_rate=mb_per_s(400)):
     pool_link = FairShareLink(sim, pool_rate, name="pool")
     tape = FairShareLink(sim, tape_rate, name="tape")
-    engine = BackupEngine(sim, lambda n, prio: pool_link.transfer(n), tape)
-    return engine, pool_link, tape
+    return backup_job(snap, lambda n, prio: pool_link.transfer(n), tape,
+                      region=region)
 
 
 def run_backup(workers, pages=24):
     sim = Simulator()
     _dmsd, snap = make_snapshot(pages)
-    engine, _pool, _tape = make_engine(sim)
-    job = BackupJob(snap, region_pages=4)
-    engine.start(job, workers=workers)
+    job = make_job(sim, snap, region=4)
+    RegionEngine(sim).start(job, workers=workers)
     sim.run()
     assert job.done
-    return job.finished_at - job.started_at, engine
+    return job.finished_at - job.started_at, job
 
 
 def test_backup_completes_and_counts_bytes():
-    elapsed, engine = run_backup(2)
+    elapsed, job = run_backup(2)
     assert elapsed > 0
-    assert engine.bytes_backed_up == 24 * PAGE
+    assert job.completed * PAGE == 24 * PAGE
 
 
 def test_more_workers_back_up_faster_until_tape_saturates():
@@ -55,9 +55,8 @@ def test_empty_snapshot_is_instant():
     alloc = Allocator([StoragePool("p", 8 * PAGE, PAGE)])
     dmsd = DemandMappedDevice("v", 64 * PAGE, alloc)
     snap = take_snapshot(dmsd, "empty")
-    engine, _p, _t = make_engine(sim)
-    job = BackupJob(snap)
-    assert engine.start(job, workers=2) == []
+    job = make_job(sim, snap)
+    assert RegionEngine(sim).start(job, workers=2) == []
     assert job.done
     assert job.progress == 1.0
 
@@ -65,9 +64,8 @@ def test_empty_snapshot_is_instant():
 def test_worker_failure_region_returned():
     sim = Simulator()
     _dmsd, snap = make_snapshot(32)
-    engine, _pool, _tape = make_engine(sim)
-    job = BackupJob(snap, region_pages=8)
-    workers = engine.start(job, workers=2)
+    job = make_job(sim, snap, region=8)
+    workers = RegionEngine(sim).start(job, workers=2)
 
     def killer():
         yield sim.timeout(0.02)
@@ -85,9 +83,8 @@ def test_backup_consistent_despite_live_writes():
     snapshot-time state even while the live device keeps growing."""
     sim = Simulator()
     dmsd, snap = make_snapshot(8)
-    engine, _pool, _tape = make_engine(sim)
-    job = BackupJob(snap, region_pages=2)
-    engine.start(job, workers=2)
+    job = make_job(sim, snap, region=2)
+    RegionEngine(sim).start(job, workers=2)
 
     def writer():
         for i in range(8, 20):
@@ -96,14 +93,13 @@ def test_backup_consistent_despite_live_writes():
 
     sim.process(writer())
     sim.run()
-    assert engine.bytes_backed_up == 8 * PAGE  # not 20
+    assert job.completed * PAGE == 8 * PAGE  # not 20
 
 
 def test_validation():
     sim = Simulator()
     _dmsd, snap = make_snapshot(4)
-    engine, _p, _t = make_engine(sim)
     with pytest.raises(ValueError):
-        BackupJob(snap, region_pages=0)
+        make_job(sim, snap, region=0)
     with pytest.raises(ValueError):
-        engine.start(BackupJob(snap), workers=0)
+        RegionEngine(sim).start(make_job(sim, snap), workers=0)

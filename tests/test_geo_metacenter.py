@@ -164,3 +164,36 @@ def test_encrypted_tunnel_rate():
                       crypto_mode="software")
     assert sw.bandwidth < gbps(2.5) / 2  # cipher-bound
     assert sw.encrypted and sw.crypto_mode == "software"
+
+
+def _disk_load_after_replicated_writes():
+    sim = Simulator()
+    center = MetadataCenter(sim, [
+        SiteSpec("a", (0.0, 0.0)),
+        SiteSpec("b", (150.0, -1100.0)),
+    ], config=small_config())
+    center.connect("a", "b", bandwidth=gbps(1.0))
+    for i in range(2):
+        center.create(f"/f{i}", home="a", policy=SYNC1)
+
+    def client():
+        for rnd in range(3):
+            for i in range(2):
+                yield center.write(f"/f{i}", rnd * mib(1), mib(1))
+                yield center.read(f"/f{i}", rnd * mib(1), mib(1), at="b")
+            yield sim.timeout(5.0)
+
+    sim.run(until=sim.process(client()))
+    sim.run(until=sim.now + 30.0)
+    return {(site, d.name): (d.ops, d.bytes_moved)
+            for site, system in center.systems.items()
+            for d in system.pool.disks}
+
+
+def test_replica_ingest_is_deterministic_within_a_process():
+    """Replica ingest keys its cache blocks by site name, so two identical
+    runs in one process put identical load on every disk."""
+    first = _disk_load_after_replicated_writes()
+    second = _disk_load_after_replicated_writes()
+    assert any(ops for ops, _moved in first.values())
+    assert first == second

@@ -214,3 +214,34 @@ def test_fault_branches_identical_with_observability_off_and_on():
     assert report["integrity.cache_repaired.replica"] == 2
     assert report["integrity.cache_unrepairable"] == 2
     assert any(entry[2] == "failed" for entry in log_off)
+
+
+def _cache_bench_stream(observability: bool):
+    """A planned cache bench (blades over the aggregate farm) read by a
+    small client fleet; returns (sim, per-client finish times)."""
+    from repro.obs import enable
+    from repro.plan import CacheBenchSpec, plan_cache_bench
+    from repro.workloads import run_client_fleet
+
+    sim = Simulator()
+    if observability:
+        enable(sim)
+    cluster = plan_cache_bench(CacheBenchSpec(blade_count=2,
+                                              replication=1)).build(sim).cluster
+
+    def make_issue(client):
+        return lambda block: cluster.read(client % 2, ("shared", block))
+
+    fleet = run_client_fleet(sim, 4, make_issue, 24, _BLOCK, window=4)
+    sim.run()
+    return sim, [s.finished_at for s in fleet]
+
+
+def test_cache_bench_farm_dispatches_the_same_events_with_obs_on_and_off():
+    # The aggregate farm behind every planned cache bench takes one path
+    # whether or not anything observes it.
+    sim_off, finish_off = _cache_bench_stream(observability=False)
+    sim_on, finish_on = _cache_bench_stream(observability=True)
+    assert None not in finish_off
+    assert finish_on == finish_off
+    assert sim_on.events_processed == sim_off.events_processed

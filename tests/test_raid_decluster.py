@@ -3,12 +3,8 @@
 import pytest
 
 from repro.hardware import make_disk_farm
-from repro.raid import (
-    DeclusteredPool,
-    DeclusteredRebuildEngine,
-    DeclusteredRebuildJob,
-)
-from repro.sim import Simulator
+from repro.raid import DeclusteredPool, rebuild_job
+from repro.sim import RegionEngine, Simulator
 
 CHUNK = 64 * 1024
 DISK_CAP = 128 * CHUNK
@@ -117,8 +113,8 @@ def run_declustered_rebuild(workers, n_disks=16):
     sim = Simulator()
     pool = make_pool(sim, n_disks=n_disks)
     pool.mark_failed(0)
-    job = DeclusteredRebuildJob(pool, 0, region_stripes=8)
-    DeclusteredRebuildEngine(sim).start(job, workers=workers)
+    job = rebuild_job(pool, 0, region=8)
+    RegionEngine(sim).start(job, workers=workers)
     sim.run()
     assert job.done
     assert job.progress == 1.0
@@ -141,14 +137,14 @@ class TestDistributedRebuild:
         sim = Simulator()
         pool = make_pool(sim)
         with pytest.raises(ValueError):
-            DeclusteredRebuildJob(pool, 0)
+            rebuild_job(pool, 0)
 
     def test_worker_failure_resumed(self):
         sim = Simulator()
         pool = make_pool(sim)
         pool.mark_failed(0)
-        job = DeclusteredRebuildJob(pool, 0, region_stripes=16)
-        engine = DeclusteredRebuildEngine(sim)
+        job = rebuild_job(pool, 0, region=16)
+        engine = RegionEngine(sim)
         workers = engine.start(job, workers=2)
 
         def killer():
@@ -164,6 +160,6 @@ class TestDistributedRebuild:
         sim = Simulator()
         pool = make_pool(sim)
         pool.mark_failed(0)
-        job = DeclusteredRebuildJob(pool, 0)
+        job = rebuild_job(pool, 0)
         with pytest.raises(ValueError):
-            DeclusteredRebuildEngine(sim).start(job, workers=0)
+            RegionEngine(sim).start(job, workers=0)

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.hardware import make_disk_farm
-from repro.raid import RaidArray, RaidLevel, RebuildEngine, RebuildJob
-from repro.sim import Simulator
+from repro.raid import RaidArray, RaidLevel, rebuild_job
+from repro.sim import RegionEngine, Simulator
 
 CHUNK = 64 * 1024
 DISK_CAP = 256 * CHUNK  # 16 MiB per disk → 256 stripes
@@ -21,8 +21,8 @@ def degraded_array(sim, level=RaidLevel.RAID5, n=4):
 def run_rebuild(workers, level=RaidLevel.RAID5, n=4):
     sim = Simulator()
     arr = degraded_array(sim, level, n)
-    job = RebuildJob(arr, 0, region_stripes=16)
-    engine = RebuildEngine(sim)
+    job = rebuild_job(arr, 0, region=16)
+    engine = RegionEngine(sim)
     engine.start(job, workers=workers)
     sim.run()
     assert job.done
@@ -32,15 +32,15 @@ def run_rebuild(workers, level=RaidLevel.RAID5, n=4):
 def test_rebuild_completes_and_tracks_progress():
     sim = Simulator()
     arr = degraded_array(sim)
-    job = RebuildJob(arr, 0, region_stripes=16)
+    job = rebuild_job(arr, 0, region=16)
     assert job.progress == 0.0
-    RebuildEngine(sim).start(job, workers=2)
+    RegionEngine(sim).start(job, workers=2)
     sim.run()
     assert job.done
     assert job.progress == 1.0
-    assert job.completed_stripes == job.total_stripes
+    assert job.completed == job.total
     # The replacement disk received every stripe chunk.
-    assert arr.disks[0].bytes_moved >= job.total_stripes * CHUNK
+    assert arr.disks[0].bytes_moved >= job.total * CHUNK
 
 
 def test_narrow_array_rebuild_does_not_scale_with_workers():
@@ -59,22 +59,22 @@ def test_rebuild_requires_replaced_disk():
                     chunk_size=CHUNK)
     arr.mark_failed(0)
     with pytest.raises(ValueError):
-        RebuildJob(arr, 0)
+        rebuild_job(arr, 0)
 
 
 def test_zero_workers_rejected():
     sim = Simulator()
     arr = degraded_array(sim)
-    job = RebuildJob(arr, 0)
+    job = rebuild_job(arr, 0)
     with pytest.raises(ValueError):
-        RebuildEngine(sim).start(job, workers=0)
+        RegionEngine(sim).start(job, workers=0)
 
 
 def test_worker_failure_mid_rebuild_is_resumed_by_survivors():
     sim = Simulator()
     arr = degraded_array(sim)
-    job = RebuildJob(arr, 0, region_stripes=32)
-    engine = RebuildEngine(sim)
+    job = rebuild_job(arr, 0, region=32)
+    engine = RegionEngine(sim)
     workers = engine.start(job, workers=2)
 
     def killer():
@@ -93,8 +93,8 @@ def test_worker_failure_mid_rebuild_is_resumed_by_survivors():
 def test_add_worker_scales_out_in_flight():
     sim = Simulator()
     arr = degraded_array(sim)
-    job = RebuildJob(arr, 0, region_stripes=16)
-    engine = RebuildEngine(sim)
+    job = rebuild_job(arr, 0, region=16)
+    engine = RegionEngine(sim)
     engine.start(job, workers=1)
 
     def scaler():
@@ -113,11 +113,11 @@ def test_raid1_rebuild_copies_from_mirror():
                     chunk_size=CHUNK)
     arr.mark_failed(1)
     arr.mark_replaced(1)
-    job = RebuildJob(arr, 1, region_stripes=64)
-    RebuildEngine(sim).start(job, workers=1)
+    job = rebuild_job(arr, 1, region=64)
+    RegionEngine(sim).start(job, workers=1)
     sim.run()
     assert job.done
-    assert arr.disks[0].bytes_moved >= job.total_stripes * CHUNK  # source reads
+    assert arr.disks[0].bytes_moved >= job.total * CHUNK  # source reads
 
 
 def test_raid10_rebuild_uses_pair_partner():
@@ -126,8 +126,8 @@ def test_raid10_rebuild_uses_pair_partner():
                     chunk_size=CHUNK)
     arr.mark_failed(2)
     arr.mark_replaced(2)
-    job = RebuildJob(arr, 2, region_stripes=64)
-    RebuildEngine(sim).start(job, workers=1)
+    job = rebuild_job(arr, 2, region=64)
+    RegionEngine(sim).start(job, workers=1)
     sim.run()
     assert job.done
     # Partner of disk 2 is disk 3; disks 0/1 see no read traffic.
@@ -139,8 +139,8 @@ def test_rebuild_yields_to_foreground_io():
     """Foreground latency during rebuild stays lower than rebuild-priority IO."""
     sim = Simulator()
     arr = degraded_array(sim)
-    job = RebuildJob(arr, 0, region_stripes=16)
-    RebuildEngine(sim, io_priority=10.0).start(job, workers=2)
+    job = rebuild_job(arr, 0, region=16)
+    RegionEngine(sim, io_priority=10.0).start(job, workers=2)
     latencies = []
 
     def foreground():
