@@ -17,8 +17,10 @@ Two harnesses share this file:
   ``python benchmarks/bench_e15_megascale.py [--quick]
   [--baseline BENCH.json --max-regression 0.30]``.
   CI perf-smoke runs ``--quick`` against the merge-base measured on the
-  same runner and fails on a >30% events/s regression or on fingerprints
-  that differ between repeats.
+  same runner and fails when completed ops per wall second fall >30%
+  below it, or on fingerprints that differ between repeats.  Ops, not
+  kernel events, are the work: a change that drops events which model
+  nothing must not read as a regression.
 """
 
 from __future__ import annotations
@@ -79,14 +81,14 @@ def run_fluid(horizon_s: float) -> dict:
 def run_harness(quick: bool, repeats: int) -> dict:
     horizon = 300.0 if quick else 1200.0
     runs = [run_fluid(horizon) for _ in range(max(1, repeats))]
-    best = max(runs, key=lambda r: r["events_per_sec"])
+    best = min(runs, key=lambda r: r["wall_s"])
     return {
         "meta": {
             "quick": quick,
             "repeats": repeats,
             "python": sys.version.split()[0],
             "clients_per_site": CLIENTS_PER_SITE,
-            "metric": "events_per_sec (best of repeats)",
+            "metric": "ops_per_wall_s (best of repeats)",
         },
         "megascale_fluid": {
             "horizon_s": horizon,
@@ -96,9 +98,15 @@ def run_harness(quick: bool, repeats: int) -> dict:
     }
 
 
+def ops_per_wall_s(row: dict) -> float:
+    """Completed client ops per wall second of one run row."""
+    return row["ops_completed"] / row["wall_s"]
+
+
 def compare_to_baseline(current: dict, baseline: dict,
                         max_regression: float) -> list[str]:
-    """The fluid scenario's events/s regression beyond the threshold.
+    """The fluid scenario's ops-per-wall-second regression beyond the
+    threshold.
 
     Baselines written while the kernel had a second event-queue backend
     keep the fluid row under ``backends.heap``; that row is the one
@@ -107,19 +115,19 @@ def compare_to_baseline(current: dict, baseline: dict,
     cur = current["megascale_fluid"]
     base = baseline.get("megascale_fluid", {})
     base = base.get("backends", {}).get("heap", base)
-    base_rate = base.get("events_per_sec")
-    if not base_rate:
+    if not base.get("wall_s") or "ops_completed" not in base:
         print("  megascale_fluid: no baseline row, not compared")
         return []
-    ratio = cur["events_per_sec"] / base_rate
+    rate, base_rate = ops_per_wall_s(cur), ops_per_wall_s(base)
+    ratio = rate / base_rate
     marker = ""
     failures = []
     if ratio < 1.0 - max_regression:
         failures.append("megascale_fluid")
         marker = "  <-- REGRESSION"
     print("  megascale_fluid".ljust(34)
-          + f"{cur['events_per_sec']:>12,.0f} ev/s "
-          f"(baseline {base_rate:>12,.0f}, x{ratio:.2f}){marker}")
+          + f"{rate:>14,.0f} ops/s "
+          f"(baseline {base_rate:>14,.0f}, x{ratio:.2f}){marker}")
     return failures
 
 
@@ -139,6 +147,21 @@ def test_e15_fluid_megascale_event_economy():
     assert result.failed > 0
 
 
+def test_e15_baseline_gate_compares_ops_per_wall_second():
+    """The merge-base gate reads completed ops per wall second: a head
+    that dispatches fewer kernel events for the same ops at the same
+    wall time per op passes, and one 40% slower per op fails."""
+    def doc(events: int, wall_s: float) -> dict:
+        return {"megascale_fluid": {
+            "events": events, "events_per_sec": events / wall_s,
+            "ops_completed": 14_908_531, "wall_s": wall_s}}
+
+    base = doc(80_000, 0.317)
+    assert compare_to_baseline(doc(25_000, 0.317), base, 0.30) == []
+    assert compare_to_baseline(doc(80_000, 0.317 / 0.6), base, 0.30) == [
+        "megascale_fluid"]
+
+
 # ---------------------------------------------------------------------------
 # Standalone harness
 # ---------------------------------------------------------------------------
@@ -156,10 +179,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="BENCH_e15_megascale.json",
                         help="output JSON path")
     parser.add_argument("--baseline", default=None,
-                        help="baseline JSON to compare events/s against")
+                        help="baseline JSON to compare ops/s against")
     parser.add_argument("--max-regression", type=float, default=0.30,
-                        help="fail if events/s drops more than this "
-                             "fraction below baseline (default 0.30)")
+                        help="fail if ops per wall second drop more than "
+                             "this fraction below baseline (default 0.30)")
     args = parser.parse_args(argv)
     repeats = args.repeats if args.repeats is not None else (
         2 if args.quick else 3)
@@ -170,9 +193,9 @@ def main(argv: list[str] | None = None) -> int:
 
     fluid = report["megascale_fluid"]
     print("  megascale_fluid".ljust(22)
-          + f"{fluid['events_per_sec']:>12,.0f} ev/s  "
+          + f"{ops_per_wall_s(fluid):>14,.0f} ops/s  "
           f"{fluid['events']:,} events for {fluid['ops_completed']:,} ops "
-          f"({fluid['ops_failed']:,} failed)")
+          f"({fluid['ops_failed']:,} failed) in {fluid['wall_s']:.3f} s")
     print(f"  fingerprints match across repeats: {fluid['fingerprint_match']}")
 
     with open(args.out, "w") as fh:
@@ -191,11 +214,11 @@ def main(argv: list[str] | None = None) -> int:
               f"(max regression {args.max_regression:.0%}):")
         failures = compare_to_baseline(report, baseline, args.max_regression)
         if failures:
-            print(f"FAIL: events/sec regressed >{args.max_regression:.0%} "
+            print(f"FAIL: ops/sec regressed >{args.max_regression:.0%} "
                   f"in: {', '.join(failures)}")
             rc = 1
         elif rc == 0:
-            print("OK: events/sec within the threshold")
+            print("OK: ops/sec within the threshold")
     return rc
 
 

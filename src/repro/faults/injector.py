@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..geo.metacenter import MetadataCenter
     from ..obs.telemetry import ManagementPlane
     from ..sim.engine import Simulator
-    from ..sim.regions import RegionJob
 
 ApplyFn = Callable[[FaultSpec], None]
 
@@ -281,34 +280,9 @@ class FaultInjector:
             # so the outage closes as soon as the rebuild is running; the
             # RECOVERING window then measures rebuild time.
             tr.begin_recovery("declustered rebuild running")
-            self._watch_rebuild(job, tr)
+            job.on_done(lambda: tr.recovered("rebuild complete"))
 
         self.register(FaultKind.DISK_FAIL, target, fail_disk)
-
-    def _watch_rebuild(self, job: "RegionJob", tracker: RecoveryTracker,
-                       poll: float = 60.0, max_checks: int = 20000) -> None:
-        """Flip the tracker to UP when a rebuild job completes.
-
-        The job exposes no completion event (workers may be respawned
-        across blades), so a bounded deterministic poll watches ``done``;
-        past the bound the tracker is left RECOVERING and a warning logged.
-        """
-        checks = [0]
-
-        def check() -> None:
-            if job.done:
-                tracker.recovered("rebuild complete")
-                return
-            checks[0] += 1
-            if checks[0] >= max_checks:
-                if self.sim.obs is not None:
-                    self.sim.obs.log.warning(
-                        self.name, "rebuild_watch_abandoned",
-                        component=tracker.component)
-                return
-            self.sim.call_in(poll, check)
-
-        self.sim.call_in(poll, check)
 
     def bind_wan(self, network, dr) -> "FaultInjector":
         """Bind every site of a :class:`WanNetwork` (loss runs ``dr``'s

@@ -109,8 +109,8 @@ class GeoReplicator:
         #: (replication lag = the RPO exposure the operator must watch).
         self.backlog_warn_bytes = 64 * 1024 * 1024
         self._lag_alerted: set[str] = set()
-        #: Backoff schedule for a stalled pump (WAN cut / site down): the
-        #: shared RetryPolicy shape instead of a fixed ad-hoc idle wait.
+        #: Backoff schedule for a stalled pump (WAN cut / site down), in
+        #: the shared RetryPolicy shape.
         self.pump_retry = RetryPolicy(attempts=10, base_delay=0.005,
                                       multiplier=2.0, max_delay=2.0)
         #: Sites currently observed down, edge-triggered: a site raising
@@ -472,25 +472,24 @@ class GeoReplicator:
         self._pump_running.add(target_name)
         self.sim.process(self._pump(target_name), name=f"geo.pump.{target_name}")
 
-    def _pump(self, target_name: str, idle_wait: float = 0.005):
+    def _pump(self, target_name: str):
         """Background drain of all async backlog headed to one site.
 
-        Stalls (WAN cut, site down) back off along the shared
-        :class:`RetryPolicy` schedule rather than hammering a dead route
-        at a fixed cadence; the first success resets the backoff.
+        Runs while the target has backlog and returns as soon as it has
+        none; the next async write to the target starts it again
+        (:meth:`_ensure_pump`).  Stalls (WAN cut, site down) back off
+        along the shared :class:`RetryPolicy` schedule rather than
+        hammering a dead route at a fixed cadence; the first success
+        resets the backoff.
         """
         target = self.network.sites[target_name]
         policy = self.pump_retry
-        idle_rounds = 0
         stalls = 0
-        while idle_rounds < 200:  # park the pump after sustained idleness
+        while True:
             item = next(((p, t) for (p, t), b in self.async_backlog.items()
                          if t == target_name and b > 0), None)
             if item is None:
-                idle_rounds += 1
-                yield self.sim.timeout(idle_wait)
-                continue
-            idle_rounds = 0
+                break
             path, _ = item
             gf = self.files[path]
             origin = self.network.sites[gf.home]

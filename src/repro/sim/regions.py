@@ -31,7 +31,8 @@ class RegionJob:
     """One distributed job: its items, their regions, and its progress.
 
     ``name`` is the component its spans (``<name>.region``) and log
-    records carry; ``labels`` join its ``job_started`` record.
+    records carry; ``labels`` join its ``job_started`` record.  The job
+    is done when its last item is; :meth:`on_done` hooks that moment.
     """
 
     def __init__(self, name: str, items: Sequence, step: Step,
@@ -49,6 +50,7 @@ class RegionJob:
         self.done = False
         self.started_at: float | None = None
         self.finished_at: float | None = None
+        self._on_done: list[Callable[[], None]] = []
 
     @property
     def progress(self) -> float:
@@ -67,6 +69,13 @@ class RegionJob:
             return None
         rate = self.completed / elapsed
         return (self.total - self.completed) / rate
+
+    def on_done(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` when the job finishes, or now if it has."""
+        if self.done:
+            callback()
+        else:
+            self._on_done.append(callback)
 
     def checkout(self) -> Sequence | None:
         """Take the next region, or None when the queue is empty."""
@@ -148,6 +157,8 @@ class RegionEngine:
         if self.sim.obs is not None:
             self.sim.obs.log.info(job.name, "job_completed", items=job.total,
                                   seconds=job.finished_at - job.started_at)
+        for callback in job._on_done:
+            callback()
 
 
 __all__ = ["RegionEngine", "RegionJob", "Step"]

@@ -61,6 +61,20 @@ def test_empty_snapshot_is_instant():
     assert job.progress == 1.0
 
 
+def test_on_done_runs_once_when_the_last_item_finishes():
+    sim = Simulator()
+    _dmsd, snap = make_snapshot(24)
+    job = make_job(sim, snap, region=4)
+    fired = []
+    job.on_done(lambda: fired.append(sim.now))
+    RegionEngine(sim).start(job, workers=3)
+    sim.run()
+    assert fired == [job.finished_at]
+    # Registered on a finished job, a callback runs at once.
+    job.on_done(lambda: fired.append("late"))
+    assert fired == [job.finished_at, "late"]
+
+
 def test_worker_failure_region_returned():
     sim = Simulator()
     _dmsd, snap = make_snapshot(32)

@@ -163,6 +163,9 @@ class TestDiskRecovery:
         recovering_at = tr.transitions[1][0]
         up_at = tr.transitions[2][0]
         assert up_at > recovering_at  # the rebuild took real time
+        # The disk is UP the moment its rebuild job finishes.
+        job = system.cluster.rebuild_coordinator._job
+        assert job.done and up_at == job.finished_at
 
     def test_blade_crash_mid_rebuild_does_not_corrupt_the_job(self):
         # A controller dying during a distributed rebuild interrupts its

@@ -68,6 +68,55 @@ class TestGeoReplicator:
         assert rep.async_backlog[("/f", "b")] == 0
         assert "b" in rep.files["/f"].copies
 
+    @staticmethod
+    def _async_pair(gap: float, second: str):
+        """Two async 8 MiB writes from ``a``, ``gap`` s apart (the second
+        to ``second``), run to quiescence; returns the replicator, the
+        copies landed as (path, site, time), and the pumps running when
+        the second write was issued."""
+        sim = Simulator()
+        net, a, _b, _c = ring(sim)
+        rep = GeoReplicator(sim, net)
+        rep.register("/f", ASYNC1, a)
+        rep.register("/g", ASYNC1, a)
+        landed = []
+        rep.on_copy_complete.append(
+            lambda path, site: landed.append((path, site, sim.now)))
+        pumps_at_second = []
+
+        def client():
+            yield rep.write("/f", mib(8))
+            yield sim.timeout(gap)
+            pumps_at_second.append(set(rep._pump_running))
+            yield rep.write(second, mib(8))
+
+        sim.process(client())
+        sim.run()
+        return sim, rep, landed, pumps_at_second[0]
+
+    def test_idle_pump_parks_and_the_next_write_wakes_it(self):
+        # The pump parks as soon as the first copy lands; the write 5 s
+        # later starts it again, and nothing is left in the kernel once
+        # the second copy lands (no idle polling past the drain).
+        sim, rep, landed, pumps = self._async_pair(5.0, "/f")
+        assert pumps == set()
+        assert [(p, s) for p, s, _t in landed] == [("/f", "b"), ("/f", "b")]
+        assert sim.now == pytest.approx(5.0725, abs=1e-4)
+        assert sim.now == landed[-1][2]
+        assert rep._pump_running == set()
+        assert rep.backlog_to("b") == 0
+
+    def test_write_during_a_drain_rides_the_running_pump(self):
+        # The second write lands in the backlog while the first chunk is
+        # still on the WAN: the running pump picks it up after that chunk
+        # and parks only when both copies have landed.
+        sim, rep, landed, pumps = self._async_pair(0.02, "/g")
+        assert pumps == {"b"}
+        assert [(p, s) for p, s, _t in landed] == [("/f", "b"), ("/g", "b")]
+        assert landed[0][2] < landed[1][2] == sim.now
+        assert rep._pump_running == set()
+        assert rep.backlog_to("b") == 0
+
     def test_sync_latency_grows_with_distance(self):
         sim = Simulator()
         net, a, b, c = ring(sim)
