@@ -174,15 +174,11 @@ def test_e04d_distributed_backup_scales(benchmark):
         tape = FairShareLink(sim, mb_per_s(160), name="tape")
 
         def pool_read(nbytes, _priority):
-            done = sim.event()
-
             def run():
                 yield sim.timeout(0.008)  # farm positioning per page
                 yield pool_link.transfer(nbytes)
-                done.succeed()
 
-            sim.process(run(), name="backup.poolread")
-            return done
+            return sim.process(run(), name="backup.poolread")
 
         job = backup_job(snap, pool_read, tape, region=4)
         RegionEngine(sim).start(job, workers=workers)

@@ -46,33 +46,26 @@ class DualControllerArray:
 
     def write(self, key: Hashable) -> Event:
         """Write-back absorb, mirrored to the peer cache when it is up."""
-        done = Event(self.sim)
-        self.sim.process(self._write(key, done), name="ap.write")
-        return done
+        return self.sim.process(self._write(key), name="ap.write")
 
-    def _write(self, key: Hashable, done: Event):
+    def _write(self, key: Hashable):
         if not self.serving:
-            done.fail(RuntimeError("array unavailable (failover in progress)"))
-            return
+            raise RuntimeError("array unavailable (failover in progress)")
         yield self.sim.timeout(self.cpu_per_io)
         if all(self.controllers_up):
             # Cache mirror across the pair: one intra-array hop.
             yield self.sim.timeout(us(30))
         self.dirty.add(key)
-        done.succeed("cached")
+        return "cached"
 
     def destage(self, key: Hashable) -> Event:
         """Flush one dirty block to disk."""
-        done = Event(self.sim)
-
         def run():
             if key in self.dirty:
                 yield self.sim.timeout(self.disk_latency)
                 self.dirty.discard(key)
-            done.succeed()
 
-        self.sim.process(run(), name="ap.destage")
-        return done
+        return self.sim.process(run(), name="ap.destage")
 
     # -- failures -----------------------------------------------------------------------
 

@@ -45,11 +45,9 @@ class StorageIsland:
 
     def read(self, key: Hashable) -> Event:
         """Read one block through this island's (only) controller."""
-        done = Event(self.sim)
-        self.sim.process(self._serve(key, done), name="island.read")
-        return done
+        return self.sim.process(self._serve(key), name="island.read")
 
-    def _serve(self, key: Hashable, done: Event):
+    def _serve(self, key: Hashable):
         # The controller CPU is held for the firmware work only; the disk
         # access proceeds without pinning a core (DMA-era behaviour).
         req = self.controller.request()
@@ -63,11 +61,10 @@ class StorageIsland:
         finally:
             self.controller.release(req)
         if hit:
-            done.succeed("cache")
-            return
+            return "cache"
         yield self._disk_read()
         self.cache.insert(key, BlockState.SHARED)
-        done.succeed("disk")
+        return "disk"
 
     def _disk_read(self) -> Event:
         if self.disk_latency is not None:

@@ -50,11 +50,9 @@ class PartitionedCacheArray:
 
     def read(self, key: Hashable) -> Event:
         """Read through the block's home controller — no other choice."""
-        done = Event(self.sim)
-        self.sim.process(self._serve(key, done), name="pcache.read")
-        return done
+        return self.sim.process(self._serve(key), name="pcache.read")
 
-    def _serve(self, key: Hashable, done: Event):
+    def _serve(self, key: Hashable):
         blade = self.home_of(key)
         self.ops_by_blade[blade.blade_id] += 1
         # Queue on the home controller's CPU (the hot-spot choke point).
@@ -62,11 +60,10 @@ class PartitionedCacheArray:
         cache = self.caches[blade.blade_id]
         if cache.lookup(key) is not None:
             yield self.sim.timeout(self.block_size / 3.2e9 + us(5))
-            done.succeed("cache")
-            return
+            return "cache"
         yield self.backing_read(key, self.block_size)
         cache.insert(key, BlockState.SHARED)
-        done.succeed("disk")
+        return "disk"
 
     def imbalance(self) -> float:
         """Peak-to-mean ops ratio across controllers."""

@@ -293,12 +293,10 @@ class CacheCluster:
         """Read one block through ``blade_id``; event value is the source
         tier: ``"local"``, ``"remote"`` or ``"disk"``.  ``parent`` is an
         optional tracing span to nest under (request-following)."""
-        done = Event(self.sim)
-        self.sim.process(self._read(blade_id, key, priority, done, parent),
-                         name="cache.read")
-        return done
+        return self.sim.process(self._read(blade_id, key, priority, parent),
+                                name="cache.read")
 
-    def _read(self, blade_id: int, key: BlockKey, priority: int, done: Event,
+    def _read(self, blade_id: int, key: BlockKey, priority: int,
               parent=None):
         obs = self.sim.obs
         latency = self._latency
@@ -323,8 +321,7 @@ class CacheCluster:
                 yield self.sim.timeout(self._hit_delay)
                 if latency is not None:
                     latency[blade_id, "local"].record(self.sim.now - t0)
-                done.succeed("local")
-                return
+                return "local"
             actions = self.directory.acquire_shared(blade_id, key)
             source = actions.fetch_from
             if source is not None and source in self.blades \
@@ -359,8 +356,7 @@ class CacheCluster:
                                  self.sim.now)
                     if latency is not None:
                         latency[blade_id, "remote"].record(self.sim.now - t0)
-                    done.succeed("remote")
-                    return
+                    return "remote"
             self._ctr_miss.incr()
             span.annotate(tier="disk")
             try:
@@ -382,18 +378,16 @@ class CacheCluster:
                         if latency is not None:
                             latency[blade_id, "disk"].record(
                                 self.sim.now - t0)
-                        done.succeed("disk")
-                        return
+                        return "disk"
                 self.metrics.counter("read.backing_errors").incr()
                 if obs is not None:
                     obs.log.error("cache.pool", "backing_read_failed",
                                   key=str(key), blade=blade_id)
-                done.fail(exc)
-                return
+                raise
             cache.insert(key, BlockState.SHARED, priority, self.sim.now)
             if latency is not None:
                 latency[blade_id, "disk"].record(self.sim.now - t0)
-            done.succeed("disk")
+            return "disk"
 
     # -- write path ------------------------------------------------------------------
 
@@ -406,18 +400,15 @@ class CacheCluster:
         cache), not when it reaches disk — that's the destager's job.
         ``parent`` is an optional tracing span to nest under.
         """
-        done = Event(self.sim)
-        self.sim.process(self._write(blade_id, key, replicas, priority, done,
-                                     parent),
-                         name="cache.write")
-        return done
+        return self.sim.process(self._write(blade_id, key, replicas,
+                                            priority, parent),
+                                name="cache.write")
 
     def _write(self, blade_id: int, key: BlockKey, replicas: int | None,
-               priority: int, done: Event, parent=None):
+               priority: int, parent=None):
         n = self.replication if replicas is None else replicas
         if n < 1:
-            done.fail(ValueError("replicas must be >= 1"))
-            return
+            raise ValueError("replicas must be >= 1")
         obs = self.sim.obs
         t0 = self.sim.now
         span = (obs.tracer.span("cache.write", parent=parent,
@@ -449,8 +440,7 @@ class CacheCluster:
                         obs.log.error("cache.pool", "replication_failed",
                                       key=str(key), wanted=n - 1,
                                       live=len(self.live_blades()))
-                    done.fail(exc)
-                    return
+                    raise
                 transfers = [self.interconnect.transfer(self.block_size)
                              for _ in targets]
                 with span.child("cache.replicate", targets=len(targets)):
@@ -464,15 +454,13 @@ class CacheCluster:
             self.metrics.counter("write.absorbed").incr()
             if self._latency is not None:
                 self._latency[blade_id, "cached"].record(self.sim.now - t0)
-            done.succeed("cached")
+            return "cached"
 
     # -- destage ---------------------------------------------------------------------
 
     def destage(self, key: BlockKey) -> Event:
         """Push one dirty block to disk and release all pins."""
-        done = Event(self.sim)
-        self.sim.process(self._destage(key, done), name="cache.destage")
-        return done
+        return self.sim.process(self._destage(key), name="cache.destage")
 
     def _verify_before_destage(self, key: BlockKey, entry_dir):
         """Destage is the last verification point before corrupt bytes
@@ -494,11 +482,10 @@ class CacheCluster:
             # the block outright) and the loss is accounted.
             self._cache_unrepairable(owner, key)
 
-    def _destage(self, key: BlockKey, done: Event):
+    def _destage(self, key: BlockKey):
         entry = self.directory.entry(key)
         if entry is None or not entry.dirty:
-            done.succeed(False)
-            return
+            return False
         if self.integrity is not None:
             yield from self._verify_before_destage(key, entry)
         obs = self.sim.obs
@@ -517,8 +504,7 @@ class CacheCluster:
             if obs is not None:
                 obs.log.warning("cache.pool", "destage_retry", key=str(key))
             self._enqueue_dirty(key)
-            done.succeed(False)
-            return
+            return False
         released = self.directory.destaged(key)
         for bid in released:
             if bid in self.caches:
@@ -526,7 +512,7 @@ class CacheCluster:
         self.metrics.counter("destage.completed").incr()
         if self._destaged is not None:
             self._destaged.incr()
-        done.succeed(True)
+        return True
 
     def _enqueue_dirty(self, key: BlockKey) -> None:
         if key not in self._dirty_pending:
@@ -561,16 +547,13 @@ class CacheCluster:
 
     def drain_dirty(self) -> Event:
         """Destage everything currently dirty (used by tests/shutdown)."""
-        done = Event(self.sim)
-        self.sim.process(self._drain(done), name="cache.drain")
-        return done
+        return self.sim.process(self._drain(), name="cache.drain")
 
-    def _drain(self, done: Event):
+    def _drain(self):
         while self._dirty_queue.items:
             key = self._dirty_queue.items.popleft()
             self._dirty_pending.discard(key)
             yield self.destage(key)
-        done.succeed()
 
     # -- failure handling -----------------------------------------------------------------
 

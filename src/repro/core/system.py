@@ -33,6 +33,7 @@ from ..security.auth import Authenticator
 from ..security.lun_masking import LunMaskingTable
 from ..security.zones import SecureInstallation, hardened_installation, naive_installation
 from ..sim.events import Event
+from ..sim.faults import FAULT_EXCEPTIONS
 from ..sim.rng import RngStreams, stable_hash
 from ..virt.allocator import Allocator, StoragePool
 from .config import SystemConfig
@@ -285,25 +286,6 @@ class NetStorageSystem:
                 return stripe, member, disk_index
         return None
 
-    def _integrity_task(self, gen_fn):
-        """Wrap a generator function into the zero-arg Event factory the
-        repair chain retries; each call runs a fresh attempt."""
-        def factory() -> Event:
-            done = Event(self.sim)
-
-            def runner():
-                try:
-                    yield from gen_fn()
-                except Exception as exc:
-                    done.fail(exc)
-                    return
-                done.succeed(True)
-
-            self.sim.process(runner(), name="integrity.tier")
-            return done
-
-        return factory
-
     def _tier_cache_replica(self, req):
         """Cheapest good copy: the logical block still resident (clean)
         in some blade's cache — transfer it and rewrite the chunk."""
@@ -338,7 +320,7 @@ class NetStorageSystem:
             yield self.cache.interconnect.transfer(nbytes)
             yield disk.write(slot, nbytes, priority=10.0)
 
-        return self._integrity_task(run)
+        return lambda: self.sim.process(run(), name="integrity.tier")
 
     def _tier_raid_parity(self, req):
         """Reconstruct the chunk from the stripe's surviving members.
@@ -369,7 +351,7 @@ class NetStorageSystem:
                 for d in peers])
             yield disk.write(slot, nbytes, priority=10.0)
 
-        return self._integrity_task(run)
+        return lambda: self.sim.process(run(), name="integrity.tier")
 
     def _tier_geo_replica(self, req):
         """Last resort: refetch a clean copy from a peer site over the
@@ -391,7 +373,7 @@ class NetStorageSystem:
             yield fetch(req, nbytes)
             yield disk.write(slot, nbytes, priority=10.0)
 
-        return self._integrity_task(run)
+        return lambda: self.sim.process(run(), name="integrity.tier")
 
     def telemetry_report(self) -> str:
         """The management plane's status table (requires observability)."""
@@ -477,33 +459,22 @@ class NetStorageSystem:
         Ack semantics follow §6.1: the event fires when every block is
         replication-safe in cache, not when it reaches disk.
         """
-        done = Event(self.sim)
-        self.sim.process(self._client_io(path, offset, nbytes, "write", done),
-                         name="client.write")
-        return done
+        return self.sim.process(self._client_io(path, offset, nbytes, "write"),
+                                name="client.write")
 
     def read(self, path: str, offset: int, nbytes: int) -> Event:
         """A client read; event fires when every stripe unit is served."""
-        done = Event(self.sim)
-        self.sim.process(self._client_io(path, offset, nbytes, "read", done),
-                         name="client.read")
-        return done
+        return self.sim.process(self._client_io(path, offset, nbytes, "read"),
+                                name="client.read")
 
-    def _client_io(self, path: str, offset: int, nbytes: int, op: str,
-                   done: Event):
+    def _client_io(self, path: str, offset: int, nbytes: int, op: str):
         obs = self.sim.obs
         ok, failed, latency = self._client_series[op]
         t0 = self.sim.now
         span = (obs.tracer.span(f"client.{op}", path=path, nbytes=nbytes)
                 if obs is not None else NULL_SPAN)
         with span:
-            try:
-                inode = self.pfs.open(path)
-            except Exception as exc:
-                if failed is not None:
-                    failed.incr()
-                done.fail(exc)
-                return
+            inode = self.pfs.open(path)
             policy = inode.policy
             if op == "write":
                 self.pfs.write(path, offset, nbytes, now=self.sim.now)
@@ -530,19 +501,17 @@ class NetStorageSystem:
                     lambda _e, b=blade_id: self.cluster.balancer.finish(b))
                 pending.append(ev)
             if not pending:
-                done.succeed(0)
-                return
+                return 0
             try:
                 yield self.sim.all_of(pending)
-            except Exception as exc:
+            except FAULT_EXCEPTIONS:
                 if failed is not None:
                     failed.incr()
-                done.fail(exc)
-                return
+                raise
             if ok is not None:
                 ok.incr()
                 latency.record(self.sim.now - t0)
-            done.succeed(nbytes)
+            return nbytes
 
     # -- anonymous bulk I/O (geo staging / replication ingest) ---------------------------------
 
@@ -560,12 +529,10 @@ class NetStorageSystem:
         return self._raw_io(nbytes, "read")
 
     def _raw_io(self, nbytes: int, op: str) -> Event:
-        done = Event(self.sim)
-        self.sim.process(self._raw_run(nbytes, op, done),
-                         name=f"system.raw_{op}")
-        return done
+        return self.sim.process(self._raw_run(nbytes, op),
+                                name=f"system.raw_{op}")
 
-    def _raw_run(self, nbytes: int, op: str, done: Event):
+    def _raw_run(self, nbytes: int, op: str):
         block = self.config.block_size
         pending: list[Event] = []
         remaining = nbytes
@@ -587,11 +554,7 @@ class NetStorageSystem:
                     self._raw_recent.append(key)
                     if len(self._raw_recent) > 4096:
                         self._raw_recent.pop(0)
-            try:
-                blade_id = self.cluster.balancer.pick()
-            except Exception as exc:
-                done.fail(exc)
-                return
+            blade_id = self.cluster.balancer.pick()
             self.cluster.balancer.start(blade_id)
             ev = (self.cache.write(blade_id, key) if op == "write"
                   else self.cache.read(blade_id, key))
@@ -599,14 +562,9 @@ class NetStorageSystem:
                 lambda _e, b=blade_id: self.cluster.balancer.finish(b))
             pending.append(ev)
         if not pending:
-            done.succeed(0)
-            return
-        try:
-            yield self.sim.all_of(pending)
-        except Exception as exc:
-            done.fail(exc)
-            return
-        done.succeed(nbytes)
+            return 0
+        yield self.sim.all_of(pending)
+        return nbytes
 
     # -- operations ---------------------------------------------------------------------------
 

@@ -18,7 +18,7 @@ layer can subclass it without importing this package.
 
 from .injector import FaultInjector
 from .plan import FaultKind, FaultPlan, FaultSpec, parse_partition_target
-from .retry import NO_RETRY, RetryExhausted, RetryPolicy, retry, retry_call
+from .retry import NO_RETRY, RetryExhausted, RetryPolicy, retry_call
 from .state import RecoveryTracker
 
 __all__ = [
@@ -31,6 +31,5 @@ __all__ = [
     "RetryExhausted",
     "RetryPolicy",
     "parse_partition_target",
-    "retry",
     "retry_call",
 ]

@@ -134,25 +134,3 @@ def retry_call(sim: "Simulator", op: Callable[[], Event],
             attempt += 1
             yield sim.timeout(delay)
 
-
-def retry(sim: "Simulator", op: Callable[[], Event], policy: RetryPolicy,
-          rng: np.random.Generator | None = None,
-          component: str = "") -> Event:
-    """Event-returning wrapper around :func:`retry_call`.
-
-    For callers that are not themselves processes: returns an Event that
-    succeeds with the operation's value or fails with
-    :class:`RetryExhausted` / the first non-fault error.
-    """
-    done = Event(sim)
-
-    def run():
-        try:
-            value = yield from retry_call(sim, op, policy, rng, component)
-        except Exception as exc:
-            done.fail(exc)
-            return
-        done.succeed(value)
-
-    sim.process(run(), name=f"retry.{component or 'op'}")
-    return done

@@ -72,20 +72,19 @@ class DistributedLockManager:
 
     def acquire(self, host: str, resource: Hashable, mode: LockMode) -> Event:
         """Obtain (or upgrade) a grant; the event fires when usable."""
-        done = Event(self.sim)
         state = self._locks.setdefault(resource, _LockState())
         held = state.holders.get(host)
         if held is mode or (held is LockMode.EXCLUSIVE
                             and mode is LockMode.SHARED):
             self.cache_hits += 1
-            done.succeed("cached")
-            return done
-        self.sim.process(self._acquire(host, resource, mode, state, done),
-                         name="dlm.acquire")
-        return done
+            hit = Event(self.sim)
+            hit.succeed("cached")
+            return hit
+        return self.sim.process(self._acquire(host, resource, mode, state),
+                                name="dlm.acquire")
 
     def _acquire(self, host: str, resource: Hashable, mode: LockMode,
-                 state: _LockState, done: Event):
+                 state: _LockState):
         # Ask the lock server.
         self.lock_messages += 1
         yield self.sim.timeout(self.message_rtt)
@@ -109,7 +108,7 @@ class DistributedLockManager:
             else:
                 yield self.sim.timeout(self.message_rtt / 2)
         state.holders[host] = mode
-        done.succeed("granted")
+        return "granted"
 
     def holder_count(self, resource: Hashable) -> int:
         """How many hosts currently cache a grant on the resource."""
@@ -162,13 +161,10 @@ class HostSharedFileSystem:
         return self._io(host, path, "write", nbytes or self.block_size)
 
     def _io(self, host: str, path: str, op: str, nbytes: int) -> Event:
-        done = Event(self.sim)
-        self.sim.process(self._serve(host, path, op, nbytes, done),
-                         name=f"hostfs.{op}")
-        return done
+        return self.sim.process(self._serve(host, path, op, nbytes),
+                                name=f"hostfs.{op}")
 
-    def _serve(self, host: str, path: str, op: str, nbytes: int,
-               done: Event):
+    def _serve(self, host: str, path: str, op: str, nbytes: int):
         mode = LockMode.EXCLUSIVE if op == "write" else LockMode.SHARED
         yield self.dlm.acquire(host, path, mode)
         if op == "read":
@@ -178,4 +174,4 @@ class HostSharedFileSystem:
             yield self.device_write(nbytes)
             self._dirty[(host, path)] = True
             self.writes += 1
-        done.succeed(nbytes)
+        return nbytes

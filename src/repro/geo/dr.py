@@ -59,13 +59,11 @@ class DisasterRecoveryCoordinator:
         pre_failure = self.replicator.site_disaster_report(site.name)
         site.fail()
         failed_at = self.sim.now
-        done = Event(self.sim)
-        self.sim.process(self._recover(site, failed_at, pre_failure, done),
-                         name=f"dr.{site.name}")
-        return done
+        return self.sim.process(self._recover(site, failed_at, pre_failure),
+                                name=f"dr.{site.name}")
 
     def _recover(self, site: Site, failed_at: float,
-                 pre_failure: dict[str, int], done: Event):
+                 pre_failure: dict[str, int]):
         # Heartbeats time out, then surviving sites elect and rebuild the
         # catalog view (virtualization maps are metadata, already global).
         yield self.sim.timeout(self.detection_delay)
@@ -107,4 +105,4 @@ class DisasterRecoveryCoordinator:
             new_homes=new_homes,
         )
         self.reports.append(report)
-        done.succeed(report)
+        return report

@@ -24,7 +24,7 @@ from ..fs.metadata import Inode
 from ..fs.policies import DEFAULT_POLICY, FilePolicy
 from ..obs import enable
 from ..sim.events import Event
-from ..sim.faults import FAULT_EXCEPTIONS, is_fault
+from ..sim.faults import is_fault
 from ..sim.units import gbps
 from .dr import DisasterRecoveryCoordinator, RecoveryReport
 from .migration import DistributedAccessManager
@@ -122,25 +122,19 @@ class MetadataCenter:
         def fetch(req, nbytes: int) -> Event:
             origin = self.network.sites[site_name]
             peers = self.network.neighbors_by_distance(origin, 0.0)
-            done = Event(self.sim)
             if not peers:
                 from ..sim.faults import SimulatedFault
-                done.fail(SimulatedFault(
+                failed = Event(self.sim)
+                failed.fail(SimulatedFault(
                     f"no live peer site to refetch for {site_name}"))
-                return done
+                return failed
 
             def run():
-                try:
-                    yield self.network.transfer(peers[0], origin, nbytes)
-                except FAULT_EXCEPTIONS as exc:
-                    # An injected outage (route cut, peer died) fails the
-                    # fetch.
-                    done.fail(exc)
-                    return
-                done.succeed(nbytes)
+                # An injected outage (route cut, peer died) fails the fetch.
+                yield self.network.transfer(peers[0], origin, nbytes)
+                return nbytes
 
-            self.sim.process(run(), name=f"geo.repair.{site_name}")
-            return done
+            return self.sim.process(run(), name=f"geo.repair.{site_name}")
 
         return fetch
 
@@ -195,10 +189,8 @@ class MetadataCenter:
         the write with ``EpochFencingError`` before any metadata or data
         mutation — split-brain writes are rejected, never applied.
         """
-        done = Event(self.sim)
-        self.sim.process(self._write(path, offset, nbytes, at, done, epoch),
-                         name="meta.write")
-        return done
+        return self.sim.process(self._write(path, offset, nbytes, at, epoch),
+                                name="meta.write")
 
     def write_epoch(self, path: str) -> int:
         """The current home epoch a writer should present with writes."""
@@ -215,11 +207,10 @@ class MetadataCenter:
         log("geo.metacenter", kind, path=path, error=type(exc).__name__)
 
     def _write(self, path: str, offset: int, nbytes: int,
-               at: str | None, done: Event, epoch: int | None = None):
+               at: str | None, epoch: int | None = None):
         gf = self.replicator.files.get(path)
         if gf is None:
-            done.fail(KeyError(f"unknown file {path!r}"))
-            return
+            raise KeyError(f"unknown file {path!r}")
         home = gf.home
         writer = at or home
         try:
@@ -236,28 +227,21 @@ class MetadataCenter:
                                          now=self.sim.now)
             yield self.replicator.write(path, nbytes, epoch=epoch)
         except Exception as exc:
-            # Documented process boundary: ``done`` must fire or the
-            # caller hangs, so even non-fault errors surface through the
-            # event — logged first, never silently swallowed.
+            # Logged with its severity on the way out, never swallowed.
             self._log_failure("write_failed", path, exc)
-            done.fail(exc)
-            return
-        done.succeed(nbytes)
+            raise
+        return nbytes
 
     def read(self, path: str, offset: int, nbytes: int, at: str) -> Event:
         """Read at any site: local copies serve locally, else the block
         migrates in (with prefetch / auto-replication, §7.1)."""
-        done = Event(self.sim)
-        self.sim.process(self._read(path, offset, nbytes, at, done),
-                         name="meta.read")
-        return done
+        return self.sim.process(self._read(path, offset, nbytes, at),
+                                name="meta.read")
 
-    def _read(self, path: str, offset: int, nbytes: int, at: str,
-              done: Event):
+    def _read(self, path: str, offset: int, nbytes: int, at: str):
         gf = self.replicator.files.get(path)
         if gf is None:
-            done.fail(KeyError(f"unknown file {path!r}"))
-            return
+            raise KeyError(f"unknown file {path!r}")
         if path not in self.access.files:
             # Register the file's *true* size (not inflated by an
             # overshooting first read — that used to pin a too-large
@@ -278,12 +262,9 @@ class MetadataCenter:
             for block in range(first, min(last + 1, fr.block_count)):
                 yield self.access.read(path, block, self.network.sites[at])
         except Exception as exc:
-            # Documented process boundary (see _write): log with severity,
-            # then surface through the completion event.
             self._log_failure("read_failed", path, exc)
-            done.fail(exc)
-            return
-        done.succeed(nbytes)
+            raise
+        return nbytes
 
     # -- operations ---------------------------------------------------------------------
 

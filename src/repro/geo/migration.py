@@ -118,32 +118,22 @@ class DistributedAccessManager:
 
     def read(self, path: str, block: int, at: Site) -> Event:
         """Read one block at a site; event value is "local" or "remote"."""
-        done = Event(self.sim)
-        self.sim.process(self._read(path, block, at, done), name="geo.read")
-        return done
+        return self.sim.process(self._read(path, block, at), name="geo.read")
 
-    def _read(self, path: str, block: int, at: Site, done: Event):
+    def _read(self, path: str, block: int, at: Site):
         fr = self.files[path]
         if not 0 <= block < fr.block_count:
-            done.fail(ValueError(f"block {block} outside {path!r}"))
-            return
+            raise ValueError(f"block {block} outside {path!r}")
         fr.access_counts[at.name] += 1
         local = fr.resident.setdefault(at.name, set())
         started = self.sim.now
-        try:
-            if block in local:
-                yield at.store_read(self.block_size)
-                self.local_reads += 1
-                self.catalog.record_read(path, at.name, local=True)
-                done.succeed("local")
-                return
-            source = yield from self._fetch(fr, block, at)
-            yield at.store_write(self.block_size)
-        except FAULT_EXCEPTIONS as exc:
-            # Process boundary: a site/link fault mid-read (or no surviving
-            # copy) fails the completion event, never the kernel.
-            done.fail(exc)
-            return
+        if block in local:
+            yield at.store_read(self.block_size)
+            self.local_reads += 1
+            self.catalog.record_read(path, at.name, local=True)
+            return "local"
+        source = yield from self._fetch(fr, block, at)
+        yield at.store_write(self.block_size)
         local.add(block)
         self.remote_reads += 1
         wan_seconds = self.sim.now - started
@@ -160,7 +150,7 @@ class DistributedAccessManager:
                                           self.auto_replicate_threshold) \
                 and not fr.fully_resident_at(at.name):
             self._background_replicate(fr, source, at)
-        done.succeed("remote")
+        return "remote"
 
     def _fetch(self, fr: FileResidency, block: int, at: Site):
         """Pull one block to ``at`` from the best-ranked reachable holder
@@ -230,24 +220,17 @@ class DistributedAccessManager:
         """Force a full local copy ('automatically derived assumptions ...
         could be overridden by either system administrators or end users')."""
         fr = self.files[path]
-        done = Event(self.sim)
 
         def run():
             local = fr.resident.setdefault(at.name, set())
-            try:
-                for b in range(fr.block_count):
-                    if b in local:
-                        continue
-                    yield from self._fetch(fr, b, at)
-                    yield at.store_write(self.block_size)
-                    local.add(b)
-            except FAULT_EXCEPTIONS as exc:
-                done.fail(exc)
-                return
-            done.succeed()
+            for b in range(fr.block_count):
+                if b in local:
+                    continue
+                yield from self._fetch(fr, b, at)
+                yield at.store_write(self.block_size)
+                local.add(b)
 
-        self.sim.process(run(), name="geo.pin")
-        return done
+        return self.sim.process(run(), name="geo.pin")
 
     def evict_replica(self, path: str, at: Site) -> None:
         """Drop a site's copy (capacity pressure), unless it's the last."""

@@ -23,7 +23,7 @@ from ..obs.timeseries import bind_by_site
 from ..obs.tracer import NULL_SPAN
 from ..sim.events import Event
 from ..sim.faults import FAULT_EXCEPTIONS
-from .lease import EpochFencingError, LeaseAuthority
+from .lease import LeaseAuthority
 from .site import Site
 from .wan import WanNetwork
 
@@ -321,13 +321,10 @@ class GeoReplicator:
         the write with :class:`EpochFencingError` before any byte lands.
         ``None`` (the legacy shape) always passes the fence.
         """
-        done = Event(self.sim)
-        self.sim.process(self._write(path, nbytes, done, epoch),
-                         name="geo.write")
-        return done
+        return self.sim.process(self._write(path, nbytes, epoch),
+                                name="geo.write")
 
-    def _write(self, path: str, nbytes: int, done: Event,
-               epoch: int | None = None):
+    def _write(self, path: str, nbytes: int, epoch: int | None = None):
         gf = self.files[path]
         origin = self.network.sites[gf.home]
         obs = self.sim.obs
@@ -336,13 +333,9 @@ class GeoReplicator:
                                 mode=mode.value)
                 if obs is not None else NULL_SPAN)
         with span:
-            try:
-                # Fence BEFORE any storage I/O: a stale-epoch write must
-                # be rejected and surfaced, never partially applied.
-                self.leases.check_write(path, epoch)
-            except EpochFencingError as exc:
-                done.fail(exc)
-                return
+            # Fence BEFORE any storage I/O: a stale-epoch write must be
+            # rejected and surfaced, never partially applied.
+            self.leases.check_write(path, epoch)
             try:
                 with span.child("site.store", site=origin.name):
                     yield origin.store_write(nbytes)
@@ -353,8 +346,7 @@ class GeoReplicator:
                     obs.log.error("geo.replication", "home_write_failed",
                                   path=path, site=origin.name,
                                   error=type(exc).__name__)
-                done.fail(exc)
-                return
+                raise
             self._note_site_up(origin.name)
             gf.size += nbytes
             gf.version += 1
@@ -377,8 +369,8 @@ class GeoReplicator:
                                     targets=len(targets)):
                         yield self.sim.all_of(transfers)
                 except FAULT_EXCEPTIONS as exc:
-                    # A sync target died mid-replication: the write must
-                    # fail *visibly*, not hang on a never-firing event.
+                    # A sync target died mid-replication: the write
+                    # fails visibly.
                     for target, ev in zip(targets, transfers):
                         if target.failed:
                             self._note_site_down(target.name)
@@ -394,8 +386,7 @@ class GeoReplicator:
                         obs.log.error("geo.replication",
                                       "sync_replicate_failed", path=path,
                                       error=type(exc).__name__)
-                    done.fail(exc)
-                    return
+                    raise
                 for target in targets:
                     gf.site_versions[target.name] = gf.version
                     self._note_copy_complete(gf, target.name)
@@ -404,35 +395,24 @@ class GeoReplicator:
                     self.async_backlog[(path, target.name)] += nbytes
                     self._check_lag(target.name)
                     self._ensure_pump(target.name)
-            done.succeed(nbytes)
+            return nbytes
 
     def _replicate_to(self, gf: GeoFile, origin: Site, target: Site,
                       nbytes: int, parent=None) -> Event:
-        done = Event(self.sim)
-
         def run():
             obs = self.sim.obs
             span = (obs.tracer.span("geo.wan_hop", parent=parent,
                                     target=target.name, nbytes=nbytes)
                     if obs is not None else NULL_SPAN)
-            try:
-                with span:
-                    yield self.network.transfer(origin, target, nbytes)
-                    yield from self._wire_check(origin, target, nbytes)
-                    yield target.store_write(nbytes)
-                    # The remote site's acknowledgment rides back one-way.
-                    yield self.sim.timeout(
-                        self.network.rtt(origin, target) / 2.0)
-            except FAULT_EXCEPTIONS as exc:
-                # ``done`` must fire even when the route/target dies, or
-                # the sync barrier upstream waits forever.
-                done.fail(exc)
-                return
+            with span:
+                yield self.network.transfer(origin, target, nbytes)
+                yield from self._wire_check(origin, target, nbytes)
+                yield target.store_write(nbytes)
+                # The remote site's acknowledgment rides back one-way.
+                yield self.sim.timeout(self.network.rtt(origin, target) / 2.0)
             self._count_wan_bytes(target.name, nbytes)
-            done.succeed()
 
-        self.sim.process(run(), name=f"geo.repl.{target.name}")
-        return done
+        return self.sim.process(run(), name=f"geo.repl.{target.name}")
 
     def _count_wan_bytes(self, site_name: str, nbytes: int) -> None:
         """Count bytes landed on ``site_name``: run total and series."""

@@ -90,10 +90,8 @@ class Disk:
             raise ValueError(
                 f"I/O [{offset}, {offset + nbytes}) outside disk of "
                 f"{self.capacity} bytes")
-        done = Event(self.sim)
-        self.sim.process(self._serve(offset, nbytes, priority, op, done),
-                         name=f"{self.name}.io")
-        return done
+        return self.sim.process(self._serve(offset, nbytes, priority, op),
+                                name=f"{self.name}.io")
 
     def service_time(self, offset: int, nbytes: int) -> float:
         """Deterministic service time for the next request at ``offset``.
@@ -114,24 +112,21 @@ class Disk:
             positioning = seek + self.rotational_latency
         return positioning + nbytes / self.transfer_rate
 
-    def _serve(self, offset: int, nbytes: int, priority: float, op: str,
-               done: Event) -> Generator:
+    def _serve(self, offset: int, nbytes: int, priority: float,
+               op: str) -> Generator:
         if self.failed:
-            done.fail(DiskFailedError(f"{self.name} has failed"))
-            return
+            raise DiskFailedError(f"{self.name} has failed")
         req = self._queue.request(priority=priority)
         yield req
         try:
             if self.failed:
-                done.fail(DiskFailedError(f"{self.name} has failed"))
-                return
+                raise DiskFailedError(f"{self.name} has failed")
             self.utilization.record(1.0)
             service = self.service_time(offset, nbytes)
             self._head_pos = offset + nbytes
             yield self.sim.timeout(service)
             if self.failed:
-                done.fail(DiskFailedError(f"{self.name} failed mid-I/O"))
-                return
+                raise DiskFailedError(f"{self.name} failed mid-I/O")
             self.ops += 1
             self.bytes_moved += nbytes
             integ = self.integrity
@@ -143,10 +138,8 @@ class Disk:
                     if miss is not None:
                         start, length, kind = miss
                         integ.note_detected(self.name, start)
-                        done.fail(CorruptionError(self.name, start,
-                                                  length, kind))
-                        return
-            done.succeed(nbytes)
+                        raise CorruptionError(self.name, start, length, kind)
+            return nbytes
         finally:
             self._queue.release(req)
             if self._queue.in_use == 0:

@@ -91,11 +91,9 @@ class RepairChain:
     def repair(self, req: RepairRequest) -> Event:
         """Escalate through the tiers; the event's value is the winning
         tier's name, or it fails with :class:`RepairFailed`."""
-        done = Event(self.sim)
-        self.sim.process(self._run(req, done), name=f"{self.name}.run")
-        return done
+        return self.sim.process(self._run(req), name=f"{self.name}.run")
 
-    def _run(self, req: RepairRequest, done: Event):
+    def _run(self, req: RepairRequest):
         self._active += 1
         if self.tracker is not None and self._active == 1:
             self.tracker.degrade(f"repairing {req.kind} on {req.domain}")
@@ -126,8 +124,7 @@ class RepairChain:
                 if obs is not None:
                     obs.log.info(self.name, "repaired", tier=tier,
                                  domain=req.domain, fault_kind=req.kind)
-                done.succeed(tier)
-                return
+                return tier
             # Escalation exhausted: the corruption stands.
             self.manager.note_unrepairable(req.domain, req.address)
             self.unrepairable += 1
@@ -137,11 +134,9 @@ class RepairChain:
                 obs.log.critical(self.name, "unrepairable",
                                  domain=req.domain, address=repr(req.address),
                                  fault_kind=req.kind)
-            err = RepairFailed(
+            raise RepairFailed(
                 f"no tier could repair {req.kind} on {req.domain} "
-                f"at {req.address!r}")
-            err.__cause__ = last_exc
-            done.fail(err)
+                f"at {req.address!r}") from last_exc
         finally:
             self._active -= 1
             if self.tracker is not None and self._active == 0 \

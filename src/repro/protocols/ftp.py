@@ -44,11 +44,9 @@ class FtpExport:
         """RETR: download a whole file; event fires at transfer complete."""
         if nbytes <= 0:
             raise ValueError(f"nbytes must be > 0, got {nbytes}")
-        done = Event(self.sim)
-        self.sim.process(self._serve(nbytes, done), name=f"{self.name}.retr")
-        return done
+        return self.sim.process(self._serve(nbytes), name=f"{self.name}.retr")
 
-    def _serve(self, nbytes: int, done: Event):
+    def _serve(self, nbytes: int):
         # USER/PASS/PASV/RETR control exchange.
         yield self.sim.timeout(self.handshake_time)
         pos = 0
@@ -62,11 +60,10 @@ class FtpExport:
                 pending.append(self.client_link.transfer(take))
                 pos += take
             yield self.sim.all_of(pending)
-        except FAULT_EXCEPTIONS as exc:
+        except FAULT_EXCEPTIONS:
             # Storage or client-link failure aborts the transfer with a
             # visible error instead of a vanished session.
             self.transfers_failed += 1
-            done.fail(exc)
-            return
+            raise
         self.transfers_completed += 1
-        done.succeed(nbytes)
+        return nbytes

@@ -51,12 +51,10 @@ class DirectHttpExport:
 
     def get(self, nbytes: int, authenticated: bool = True) -> Event:
         """Serve one GET of ``nbytes``; event fires at last byte delivered."""
-        done = Event(self.sim)
-        self.sim.process(self._serve(nbytes, authenticated, done),
-                         name=f"{self.name}.get")
-        return done
+        return self.sim.process(self._serve(nbytes, authenticated),
+                                name=f"{self.name}.get")
 
-    def _serve(self, nbytes: int, authenticated: bool, done: Event):
+    def _serve(self, nbytes: int, authenticated: bool):
         yield self.sim.timeout(self.request_overhead)
         if authenticated:
             # CGI/auth executes on an external server, not the blade (§8).
@@ -73,14 +71,13 @@ class DirectHttpExport:
                 pos += take
             if pending:
                 yield self.sim.all_of(pending)
-        except FAULT_EXCEPTIONS as exc:
+        except FAULT_EXCEPTIONS:
             # A storage fault becomes a failed request (a 500, in HTTP
             # terms) instead of a silently-vanished connection.
             self.requests_failed += 1
-            done.fail(exc)
-            return
+            raise
         self.requests_served += 1
-        done.succeed(nbytes)
+        return nbytes
 
 
 class ServerMediatedExport:
@@ -108,23 +105,17 @@ class ServerMediatedExport:
 
     def get(self, nbytes: int) -> Event:
         """Serve one GET of ``nbytes``; event fires at last byte delivered."""
-        done = Event(self.sim)
-        self.sim.process(self._serve(nbytes, done), name=f"{self.name}.get")
-        return done
+        return self.sim.process(self._serve(nbytes), name=f"{self.name}.get")
 
-    def _serve(self, nbytes: int, done: Event):
+    def _serve(self, nbytes: int):
         yield self.sim.timeout(self.request_overhead)
         pos = 0
-        try:
-            while pos < nbytes:
-                take = min(self.chunk_size, nbytes - pos)
-                yield self.storage_read(take)
-                yield self.server_link.transfer(take)  # storage -> server
-                yield self.sim.timeout(self.server_cpu_per_byte * take)
-                yield self.client_link.transfer(take)  # server -> client
-                pos += take
-        except FAULT_EXCEPTIONS as exc:
-            done.fail(exc)
-            return
+        while pos < nbytes:
+            take = min(self.chunk_size, nbytes - pos)
+            yield self.storage_read(take)
+            yield self.server_link.transfer(take)  # storage -> server
+            yield self.sim.timeout(self.server_cpu_per_byte * take)
+            yield self.client_link.transfer(take)  # server -> client
+            pos += take
         self.requests_served += 1
-        done.succeed(nbytes)
+        return nbytes

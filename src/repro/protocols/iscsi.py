@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..security.lun_masking import MaskingViolation
 from ..sim.events import Event
-from ..sim.faults import FAULT_EXCEPTIONS
 from ..sim.units import us
 from .scsi import ScsiTarget
 
@@ -66,27 +64,19 @@ class IscsiPortal:
                nbytes: int) -> Event:
         """A SCSI command encapsulated in iSCSI PDUs."""
         iqn = self.sessions.get(session)
-        done = Event(self.sim)
         if iqn is None:
-            done.fail(PermissionError(f"unknown iSCSI session {session!r}"))
-            return done
-        self.sim.process(self._serve(iqn, lun, op, offset, nbytes, done),
-                         name=f"{self.name}.cmd")
-        return done
+            denied = Event(self.sim)
+            denied.fail(PermissionError(f"unknown iSCSI session {session!r}"))
+            return denied
+        return self.sim.process(self._serve(iqn, lun, op, offset, nbytes),
+                                name=f"{self.name}.cmd")
 
-    def _serve(self, iqn: str, lun: str, op: str, offset: int, nbytes: int,
-               done: Event):
+    def _serve(self, iqn: str, lun: str, op: str, offset: int, nbytes: int):
         # Request travels to the portal, data travels back: one RTT plus
         # TCP segmentation/checksum work proportional to the payload.
         yield self.sim.timeout(self.network_rtt / 2)
         yield self.sim.timeout(self.tcp_cost_per_byte * nbytes)
-        try:
-            result = yield self.target.submit(iqn, lun, op, offset, nbytes)
-        except (MaskingViolation,) + FAULT_EXCEPTIONS as exc:
-            # Denied access and simulated storage failures are protocol
-            # responses.
-            done.fail(exc)
-            return
+        result = yield self.target.submit(iqn, lun, op, offset, nbytes)
         if self.integrity is not None and self._corrupt_pending > 0:
             self._corrupt_pending -= 1
             if self.header_digest or self.data_digest:
@@ -99,4 +89,4 @@ class IscsiPortal:
             else:
                 self.integrity.wire_event("wire_corrupt", detected=False)
         yield self.sim.timeout(self.network_rtt / 2)
-        done.succeed(result)
+        return result

@@ -44,19 +44,19 @@ class NasServer:
 
     def getattr(self, path: str) -> Event:
         """GETATTR, served from the attribute cache when fresh."""
-        done = Event(self.sim)
         if self._attr_cache.get(path, -1.0) > self.sim.now:
-            done.succeed(self.pfs.open(path).size)
-            return done
-        self.sim.process(self._getattr(path, done), name=f"{self.name}.getattr")
-        return done
+            hit = Event(self.sim)
+            hit.succeed(self.pfs.open(path).size)
+            return hit
+        return self.sim.process(self._getattr(path),
+                                name=f"{self.name}.getattr")
 
-    def _getattr(self, path: str, done: Event):
+    def _getattr(self, path: str):
         yield self.sim.timeout(self.rpc_overhead)
         self.rpc_count += 1
         inode = self.pfs.open(path)
         self._attr_cache[path] = self.sim.now + self.attr_cache_ttl
-        done.succeed(inode.size)
+        return inode.size
 
     # -- data RPCs ----------------------------------------------------------------------
 
@@ -69,13 +69,10 @@ class NasServer:
         return self._io(path, offset, nbytes, "write")
 
     def _io(self, path: str, offset: int, nbytes: int, op: str) -> Event:
-        done = Event(self.sim)
-        self.sim.process(self._serve(path, offset, nbytes, op, done),
-                         name=f"{self.name}.{op}")
-        return done
+        return self.sim.process(self._serve(path, offset, nbytes, op),
+                                name=f"{self.name}.{op}")
 
-    def _serve(self, path: str, offset: int, nbytes: int, op: str,
-               done: Event):
+    def _serve(self, path: str, offset: int, nbytes: int, op: str):
         inode = self.pfs.open(path)
         if op == "write":
             self.pfs.write(path, offset, nbytes, now=self.sim.now)
@@ -91,4 +88,4 @@ class NasServer:
             key = self.pfs.block_key(inode, block)
             yield self.data_path(blade, key, op)
             pos += take
-        done.succeed(nbytes)
+        return nbytes

@@ -63,11 +63,9 @@ class RtspSession:
 
     def play(self) -> Event:
         """Run the session; event value is :class:`SessionStats`."""
-        done = Event(self.sim)
-        self.sim.process(self._run(done), name=self.name)
-        return done
+        return self.sim.process(self._run(), name=self.name)
 
-    def _run(self, done: Event):
+    def _run(self):
         start = self.sim.now
         # Prefill the session buffer (startup delay).
         yield from self._fill()
@@ -89,12 +87,12 @@ class RtspSession:
             self._buffered_segments -= 1
             played += 1
             yield self.sim.timeout(segment_time)
-        done.succeed(SessionStats(
+        return SessionStats(
             duration=self.sim.now - start,
             delivered_bytes=played * self.segment_bytes,
             rebuffer_events=rebuffers,
             rebuffer_time=rebuffer_time,
-            startup_delay=startup))
+            startup_delay=startup)
 
     def _fill(self):
         while self._buffered_segments < self.buffer_target \

@@ -50,27 +50,23 @@ class ScsiTarget:
         """One READ/WRITE command; fails with MaskingViolation if hidden."""
         if op not in ("read", "write"):
             raise ValueError(f"op must be read/write, got {op!r}")
-        done = Event(self.sim)
-        self.sim.process(self._serve(initiator, lun, op, offset, nbytes,
-                                     done), name=f"{self.name}.cmd")
-        return done
+        return self.sim.process(self._serve(initiator, lun, op, offset,
+                                            nbytes), name=f"{self.name}.cmd")
 
     def _serve(self, initiator: str, lun: str, op: str, offset: int,
-               nbytes: int, done: Event):
+               nbytes: int):
         yield self.sim.timeout(self.per_op_overhead)
         if not self.masking.check(initiator, lun, op, self.sim.now):
             self.commands_rejected += 1
-            done.fail(MaskingViolation(f"{initiator} -> {lun} {op} denied"))
-            return
+            raise MaskingViolation(f"{initiator} -> {lun} {op} denied")
         try:
             result = yield from retry_call(
                 self.sim, lambda: self.backend(lun, op, offset, nbytes),
                 self.retry_policy, component=self.name)
-        except FAULT_EXCEPTIONS as exc:
+        except FAULT_EXCEPTIONS:
             # Simulated storage failures surface as a failed command (a
             # CHECK CONDITION, in SCSI terms).
             self.commands_failed += 1
-            done.fail(exc)
-            return
+            raise
         self.commands_served += 1
-        done.succeed(result)
+        return result

@@ -69,17 +69,14 @@ class StripedStreamAggregator:
         """Run one large striped read; event value is a StreamResult."""
         if total_bytes <= 0:
             raise ValueError(f"total_bytes must be > 0, got {total_bytes}")
-        done = Event(self.sim)
-        self.sim.process(self._stream(total_bytes, done), name="hss.stream")
-        return done
+        return self.sim.process(self._stream(total_bytes), name="hss.stream")
 
-    def _stream(self, total_bytes: int, done: Event):
+    def _stream(self, total_bytes: int):
         start = self.sim.now
         chunks = -(-total_bytes // self.chunk_size)
         live = [b for b in self.blades if b.is_up]
         if not live:
-            done.fail(RuntimeError("no live blades for streaming"))
-            return
+            raise RuntimeError("no live blades for streaming")
         slots = Resource(self.sim, capacity=self.window)
         completions: list[Event] = []
         remaining = total_bytes
@@ -89,16 +86,14 @@ class StripedStreamAggregator:
             req = slots.request()
             yield req
             blade = live[i % len(live)]
-            finished = Event(self.sim)
-            completions.append(finished)
-            self.sim.process(self._chunk(blade, nbytes, slots, req, finished),
-                             name=f"hss.chunk{i}")
+            completions.append(self.sim.process(
+                self._chunk(blade, nbytes, slots, req), name=f"hss.chunk{i}"))
         yield self.sim.all_of(completions)
         elapsed = self.sim.now - start
-        done.succeed(StreamResult(total_bytes, elapsed, chunks, len(live)))
+        return StreamResult(total_bytes, elapsed, chunks, len(live))
 
     def _chunk(self, blade: ControllerBlade, nbytes: int, slots: Resource,
-               req, finished: Event):
+               req):
         from ..hardware.ports import NetworkPath
         try:
             # Disk farm positions and feeds the blade over one FC port; the
@@ -110,7 +105,7 @@ class StripedStreamAggregator:
             path = NetworkPath([blade.next_fc_port(), self.shared_bus,
                                 self.output_port])
             yield path.transfer(nbytes)
-            finished.succeed(nbytes)
+            return nbytes
         finally:
             slots.release(req)
 

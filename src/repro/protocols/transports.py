@@ -101,8 +101,6 @@ class TransportEndpoint:
         """One operation moving ``nbytes``: protocol work + wire time."""
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        done = Event(self.sim)
-
         def run():
             obs = self.sim.obs
             span = (obs.tracer.span(f"xport.{self.profile.name}",
@@ -145,10 +143,9 @@ class TransportEndpoint:
             if self._bytes is not None:
                 self._bytes.record(float(nbytes))
                 self._ops.incr()
-            done.succeed(nbytes)
+            return nbytes
 
-        self.sim.process(run(), name=f"xport.{self.profile.name}")
-        return done
+        return self.sim.process(run(), name=f"xport.{self.profile.name}")
 
     def effective_rate(self, nbytes: int) -> float:
         """Analytic bytes/s for a continuous stream of ``nbytes`` ops."""

@@ -260,16 +260,15 @@ class FcfsLink:
         """Queue ``nbytes``; the returned event fires on delivery."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        done = Event(self.sim)
         if self.failed:
-            done.fail(LinkDownError(f"link {self.name} is down"))
-            return done
+            failed = Event(self.sim)
+            failed.fail(LinkDownError(f"link {self.name} is down"))
+            return failed
         if self._bytes is not None and nbytes > 0:
             self._bytes.record(nbytes)
-        self.sim.process(self._run(nbytes, done), name=f"{self.name}.xfer")
-        return done
+        return self.sim.process(self._run(nbytes), name=f"{self.name}.xfer")
 
-    def _run(self, nbytes: float, done: Event):
+    def _run(self, nbytes: float):
         req = self._slot.request()
         yield req
         self.utilization.record(1.0)
@@ -282,7 +281,6 @@ class FcfsLink:
                 self.utilization.record(0.0)
         if self.latency > 0:
             yield self.sim.timeout(self.latency)
-        done.succeed()
 
     def mean_utilization(self) -> float:
         """Time-weighted average busy fraction since creation."""

@@ -66,7 +66,12 @@ class Process(Event):
     """A running generator; completes (as an event) when the generator does.
 
     The process event succeeds with the generator's return value, or fails
-    with any exception the generator raises.
+    with any exception the generator raises.  So a process is the
+    completion event of the operation it runs: an operation returns
+    ``sim.process(self._op(...))``, and its generator ``return``s the
+    value or ``raise``s the error, with no second Event to resolve by
+    hand.  A process that fails while nothing waits on it raises out of
+    the kernel, so a failure always reaches someone.
     """
 
     __slots__ = ("gen", "_target", "name", "_resume_cb")
@@ -127,9 +132,14 @@ class Process(Event):
             else:
                 target = self.gen.throw(event._value)
         except StopIteration as stop:
+            # Callers keep finished operations (a barrier's list of them),
+            # so let go of the spent generator and of the reference cycle
+            # through _resume_cb.
+            self.gen = self._resume_cb = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
+            self.gen = self._resume_cb = None
             if not self.callbacks:
                 # Nobody is waiting on this process: surface the crash so
                 # bugs in model code do not vanish silently.

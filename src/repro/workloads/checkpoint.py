@@ -63,19 +63,14 @@ class CheckpointWorkload:
         self.finished_at = self.sim.now
 
     def _rank_dump(self, rank: int) -> Event:
-        done = Event(self.sim)
-
         def run():
-            """Start the compute/checkpoint cycle; returns its completion."""
             remaining = self.bytes_per_rank
             while remaining > 0:
                 take = min(self.chunk, remaining)
                 yield self.write(rank, take)
                 remaining -= take
-            done.succeed()
 
-        self.sim.process(run(), name=f"ckpt.rank{rank}")
-        return done
+        return self.sim.process(run(), name=f"ckpt.rank{rank}")
 
     def efficiency(self) -> float:
         """Fraction of wall-clock the machine spent computing — the HPC

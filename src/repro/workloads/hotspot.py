@@ -83,14 +83,13 @@ class HotspotWorkload:
             if self.sim.now >= end:
                 break
             key = self.generator.draw()
-            done = Event(self.sim)
-            pending.append(done)
-            self.sim.process(self._one(key, done), name="hotspot.req")
+            pending.append(self.sim.process(self._one(key),
+                                            name="hotspot.req"))
             self.issued += 1
         if pending:
             yield self.sim.all_of(pending)
 
-    def _one(self, key: Hashable, done: Event):
+    def _one(self, key: Hashable):
         start = self.sim.now
         try:
             yield self.issue(key)
@@ -98,4 +97,3 @@ class HotspotWorkload:
             self.completed += 1
         except FAULT_EXCEPTIONS:
             self.failures += 1
-        done.succeed()

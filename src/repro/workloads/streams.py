@@ -54,23 +54,18 @@ class SequentialStream:
         for i in range(self.blocks):
             req = slots.request()
             yield req
-            done = Event(self.sim)
-            inflight.append(done)
-            self.sim.process(
-                self._one(self.start_block + i, slots, req, done),
-                name=f"{self.name}.req")
+            inflight.append(self.sim.process(
+                self._one(self.start_block + i, slots, req),
+                name=f"{self.name}.req"))
         yield self.sim.all_of(inflight)
         self.finished_at = self.sim.now
 
-    def _one(self, block: int, slots, req, done: Event):
+    def _one(self, block: int, slots, req):
         start = self.sim.now
         try:
             yield self.issue(block)
             self.latency.record(self.sim.now - start)
             self.completed += 1
-            done.succeed()
-        except Exception as exc:
-            done.fail(exc)
         finally:
             slots.release(req)
 

@@ -5,6 +5,7 @@ import pytest
 from repro import NetStorageSystem, Simulator, SystemConfig
 from repro.core import format_table
 from repro.fs import CRITICAL, FilePolicy
+from repro.sim.events import ConditionError
 from repro.sim.units import kib, mib
 
 
@@ -147,6 +148,31 @@ class TestFailureIntegration:
         report = system.report()
         # blade 0 held some of the 16 dirty blocks; those are gone.
         assert report["cache.lost_dirty_blocks"] > 0
+
+    def test_bug_in_a_cache_op_crashes_and_is_not_a_failed_op(
+            self, monkeypatch):
+        # "Failed" means a fault fired.  A plain error under the client's
+        # barrier is a model bug: it crashes the run and is not counted.
+        sim = Simulator()
+        system = make_system(sim, observability=True)
+        system.create("/f")
+
+        def buggy_write(*_args, **_kwargs):
+            op = sim.event()
+            op.fail(RuntimeError("model bug"))
+            return op
+
+        monkeypatch.setattr(system.cache, "write", buggy_write)
+
+        def client():
+            yield system.write("/f", 0, mib(1))
+
+        sim.process(client())
+        with pytest.raises(ConditionError) as info:
+            sim.run(until=10.0)
+        assert isinstance(info.value.__cause__, RuntimeError)
+        failed = system.obs.series.get("client.ops_failed", op="write")
+        assert failed.total_count == 0
 
     def test_disk_failure_triggers_distributed_rebuild(self):
         sim = Simulator()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import NO_RETRY, RetryExhausted, RetryPolicy, retry, retry_call
+from repro.faults import NO_RETRY, RetryExhausted, RetryPolicy, retry_call
 from repro.sim import RngStreams, Simulator
 from repro.sim.faults import TransientIOError, is_fault
 
@@ -54,7 +54,7 @@ class TestRetryCall:
         log = []
         op = _failing_op(sim, log, fail_times=2)
         policy = RetryPolicy(attempts=4, base_delay=0.25, multiplier=2.0)
-        done = retry(sim, op, policy)
+        done = sim.process(retry_call(sim, op, policy))
         assert sim.run(until=done) == "ok"
         assert len(log) == 3
         # Attempts spaced by the deterministic backoff: 0, 0.25, 0.75.
@@ -64,7 +64,8 @@ class TestRetryCall:
         sim = Simulator()
         log = []
         op = _failing_op(sim, log, fail_times=99)
-        done = retry(sim, op, RetryPolicy(attempts=3, base_delay=0.01))
+        done = sim.process(retry_call(
+            sim, op, RetryPolicy(attempts=3, base_delay=0.01)))
         with pytest.raises(RetryExhausted) as info:
             sim.run(until=done)
         exc = info.value
@@ -85,7 +86,8 @@ class TestRetryCall:
             ev.fail(TypeError("model bug"))
             return ev
 
-        done = retry(sim, op, RetryPolicy(attempts=5, base_delay=0.01))
+        done = sim.process(retry_call(
+            sim, op, RetryPolicy(attempts=5, base_delay=0.01)))
         with pytest.raises(TypeError):
             sim.run(until=done)
         assert len(calls) == 1  # no second attempt for a programming error
@@ -96,7 +98,7 @@ class TestRetryCall:
         op = _failing_op(sim, log, fail_times=99)
         policy = RetryPolicy(attempts=50, base_delay=1.0, multiplier=1.0,
                              deadline=2.5)
-        done = retry(sim, op, policy)
+        done = sim.process(retry_call(sim, op, policy))
         with pytest.raises(RetryExhausted):
             sim.run(until=done)
         # Attempts at t=0, 1, 2; the retry that would start at t=3 is
@@ -107,7 +109,7 @@ class TestRetryCall:
         sim = Simulator()
         log = []
         op = _failing_op(sim, log, fail_times=1)
-        done = retry(sim, op, NO_RETRY)
+        done = sim.process(retry_call(sim, op, NO_RETRY))
         # Single-attempt policy: the original fault, NOT RetryExhausted.
         with pytest.raises(TransientIOError):
             sim.run(until=done)

@@ -13,6 +13,12 @@ reports render: the scenario fingerprint (its metrics dict, with exact
 JSON types) and the management plane's JSON and Prometheus exports.  A
 refactor of where those counts live must leave all three byte-identical.
 
+All three digests also hash the kernel's event count: the fingerprint
+carries ``events`` and both exports carry the ``sim.kernel`` probe's
+``events_processed``.  A change that schedules fewer kernel events for
+the same outcome re-pins them; the scenario's other fields must not
+move.
+
 In the geo plane every site registers its ``cluster``, ``raid.pool``,
 ``cache.pool`` and ``blade0..3`` probes as ``<site>.<part>``, so all three
 sites show, and each site's integrity manager and repair chain appear
@@ -38,21 +44,21 @@ from repro.sim.units import mib
 GOLDEN = {
     "wan": {
         "kind": "wan",
-        "fingerprint": "9134676f445c653734c21eafcc3fad09"
-                       "c58724194c6c0dfb574e51fadb181995",
-        "mgmt_json": "3bc4b4e8c5f15ca9c4ea99776e5cda0d"
-                     "d01175451868cf078045ef6ae74c4a7a",
-        "mgmt_prometheus": "7c9e176c088d3cc8f360664644e85288"
-                           "6d0d8392efcac0cf95e6bd6393889416",
+        "fingerprint": "24be61fa962179620e1bf086f0b5d1ea"
+                       "d938fb620873d7d6ab1c55b8303a23d5",
+        "mgmt_json": "1a78c52edd5c01dd2dc72b19acf6fc5b"
+                     "5f2eeb078f07b7070e3b226c80bbeb28",
+        "mgmt_prometheus": "5f31837c8288d808f0558cdf18085658"
+                           "c4abd172931d13132e6969884a31fce6",
     },
     "geo": {
         "kind": "geo",
-        "fingerprint": "68482a769cae0ceef54aabbda5d5c528"
-                       "7a28d744851cc2dadc226ea28698cc79",
-        "mgmt_json": "3a6b956670f5287ea9b92ec7e7ba1614"
-                     "3dbde1ac01e34eeed74c00aa6883ddbe",
-        "mgmt_prometheus": "b58bdd640d55698f7bedc6c70b1a4516"
-                           "371d64c726ad150bb075cc7f539035ee",
+        "fingerprint": "cd22b9bbd8ced72be9608ac8b487ec16"
+                       "7e45432fc9bdd0dabb33e6a63c5b2eea",
+        "mgmt_json": "31c56023511d8f23a8ca5f9503d9ccf5"
+                     "378c9371721ead2e34adf1b840cce630",
+        "mgmt_prometheus": "f9529b3d53ff5d303222a2c7a8ca85e6"
+                           "0bb93c5741a557c8362089de697bddb4",
     },
 }
 
