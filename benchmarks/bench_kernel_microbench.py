@@ -149,7 +149,7 @@ def test_kernel_obs_overhead_measurable(benchmark):
 
 
 def _timeout_storm(scale: float) -> int:
-    """Many processes yielding bare timeouts: the pooled fast path."""
+    """Many processes yielding bare timeouts: pure schedule-and-dispatch."""
     sim = Simulator()
     n = int(20_000 * scale)
 

@@ -12,8 +12,8 @@ Hot-path notes (see docs/performance.md):
   tuples; ``seq`` is unique so the event/callback fields are never compared.
 * Every way of advancing time — :meth:`Simulator.run` with no bound, a time
   bound or an event bound, and :meth:`Simulator.step` — goes through one
-  inlined dispatch loop (:meth:`Simulator._dispatch`) that keeps the queue,
-  the Timeout pool and the event counter in locals.  An attached
+  inlined dispatch loop (:meth:`Simulator._dispatch`) that keeps the queue
+  and the event counter in locals.  An attached
   :class:`~repro.obs.profiler.KernelProfiler` is consulted from the same loop
   behind one local ``is not None`` test.
 * ``event is None`` entries are the *deferred-call* fast path
@@ -21,13 +21,11 @@ Hot-path notes (see docs/performance.md):
   with no arguments and no Event object is ever allocated.  Simple
   delay-then-callback patterns (link grants, farm-feed latency) use this
   instead of spawning a generator :class:`~repro.sim.process.Process`.
-* Fired :class:`Timeout` objects are recycled through a free list
-  (``pooling=True``, the default).  A Timeout is returned to the pool only
-  after its callbacks have run, and its fields are reset lazily on reuse, so
-  reading ``value``/``processed`` right after it fires still works.  Model
-  code must not retain a fired Timeout across subsequent simulation events;
-  pass ``pooling=False`` to disable reuse entirely (the escape hatch used by
-  the determinism tests).
+* A :class:`Timeout` is an ordinary :class:`Event`: once fired it stays
+  processed with its value, and model code may keep it and add callbacks
+  to it like any other event.  Fired timeouts are not recycled; a free
+  list measured no faster on the declared perf workloads (see
+  docs/performance.md).
 """
 
 from __future__ import annotations
@@ -43,10 +41,6 @@ from .process import Process, ProcessGen
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs import Observability
     from ..obs.profiler import KernelProfiler
-
-#: Upper bound on pooled Timeout objects kept for reuse; beyond this the
-#: kernel lets fired timeouts go to the garbage collector.
-_POOL_MAX = 4096
 
 _INF = float("inf")
 
@@ -68,7 +62,7 @@ class Simulator:
     3.0
     """
 
-    def __init__(self, pooling: bool = True) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._queue: list[tuple] = []
         #: The single push entry point every event source goes through
@@ -76,13 +70,7 @@ class Simulator:
         #: partially applied to the queue.
         self._push: Callable[[tuple], None] = partial(heappush, self._queue)
         self._seq = count()
-        self._active = True
         self.events_processed: int = 0
-        #: Reuse fired Timeout objects via ``_free_timeouts`` (see module
-        #: docstring for the invariants).  The escape hatch for determinism
-        #: A/B tests and for model code that retains fired timeouts.
-        self.pooling = pooling
-        self._free_timeouts: list[Timeout] = []
         #: Observability bundle (``None``: off).  ``repro.obs.enable`` it
         #: before building components, which bind series handles from it;
         #: while off, spans and log records cost one ``is None`` test.
@@ -128,19 +116,6 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` simulated seconds from now."""
-        free = self._free_timeouts
-        if free:
-            if delay < 0:
-                raise ValueError(f"timeout delay must be >= 0, got {delay}")
-            t = free.pop()
-            # The recycle sites park the (cleared) callbacks list back on
-            # the object, so reuse allocates nothing.
-            t._value = value
-            t._ok = True
-            t._processed = False
-            t.delay = delay
-            self._push((self.now + delay, next(self._seq), t, None))
-            return t
         return Timeout(self, delay, value)
 
     def process(self, gen: ProcessGen, name: str = "") -> Process:
@@ -224,14 +199,11 @@ class Simulator:
 
         The per-event interpreter overhead of method calls and repeated
         attribute loads is the single largest cost in timeout-heavy runs,
-        so the queue, the pool, the profiler and the event counter live in
-        locals and the counter is flushed once on exit (exceptions
-        included).
+        so the queue, the profiler and the event counter live in locals and
+        the counter is flushed once on exit (exceptions included).
         """
         q = self._queue
         pop = heappop
-        free = self._free_timeouts
-        pooling = self.pooling
         profiler = self.profiler
         processed = 0
         try:
@@ -254,11 +226,6 @@ class Simulator:
                     if callbacks:
                         for fn in callbacks:
                             fn(event)
-                    if pooling and type(event) is Timeout \
-                            and len(free) < _POOL_MAX:
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        free.append(event)
                 if not q or q[0][0] > horizon \
                         or (stop is not None and stop._processed):
                     return

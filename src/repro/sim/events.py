@@ -24,14 +24,13 @@ class Event:
     when the simulator processes it.  Events may only be triggered once.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled", "_processed")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self.callbacks: list[Callable[[Event], None]] | None = []
         self._value: Any = PENDING
         self._ok: bool = True
-        self._scheduled = False
         self._processed = False
 
     # -- state queries ------------------------------------------------------
@@ -108,16 +107,14 @@ class Event:
 class Timeout(Event):
     """An event that fires after a simulated delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
         self.sim = sim
         self.callbacks = []
-        self._scheduled = False
         self._processed = False
-        self.delay = delay
         self._ok = True
         self._value = value
         sim._push((sim.now + delay, next(sim._seq), self, None))
@@ -150,17 +147,12 @@ def _condition_error(sub_exc: BaseException) -> ConditionError:
 class _Condition(Event):
     """Shared machinery for AllOf / AnyOf."""
 
-    __slots__ = ("events", "_outstanding", "_results")
+    __slots__ = ("events", "_outstanding")
 
     def __init__(self, sim: "Simulator", events: list[Event]) -> None:
         super().__init__(sim)
         self.events = list(events)
         self._outstanding = 0
-        # Child values are snapshotted here the moment each child fires.
-        # With Timeout pooling a fired child may be recycled and re-armed by
-        # unrelated code before the condition completes, so re-reading child
-        # state (``ev.value`` / ``ev._processed``) at collect time is unsound.
-        self._results: dict[Event, Any] = {}
         if not self.events:
             self._ok = True
             self._value = {}
@@ -169,11 +161,6 @@ class _Condition(Event):
         for ev in self.events:
             if ev.sim is not sim:
                 raise ValueError("all condition events must share a simulator")
-            if ev.callbacks is None and ev._ok:
-                # Already-processed children short-circuit _on_child once the
-                # condition triggers; snapshot them up front so they still
-                # appear in the collected value.
-                self._results[ev] = ev._value
         for ev in self.events:
             self._outstanding += 1
             ev.add_callback(self._on_child)
@@ -182,8 +169,9 @@ class _Condition(Event):
         raise NotImplementedError
 
     def _collect(self) -> dict[Event, Any]:
-        results = self._results
-        return {ev: results[ev] for ev in self.events if ev in results}
+        """The values of the children that have succeeded so far."""
+        return {ev: ev._value for ev in self.events
+                if ev._processed and ev._ok}
 
 
 class AllOf(_Condition):
@@ -201,7 +189,6 @@ class AllOf(_Condition):
         if not ev.ok:
             self.fail(_condition_error(ev.value))
             return
-        self._results[ev] = ev._value
         self._outstanding -= 1
         if self._outstanding == 0:
             self.succeed(self._collect())
@@ -221,5 +208,4 @@ class AnyOf(_Condition):
         if not ev.ok:
             self.fail(_condition_error(ev.value))
             return
-        self._results[ev] = ev._value
         self.succeed(self._collect())

@@ -123,8 +123,8 @@ class Process(Event):
             # An interrupt arrived while waiting on _target: detach.
             self._detach_from_target()
         # Drop the reference unconditionally: if the generator finishes or
-        # raises below, a retained _target would pin an event — under
-        # pooling, possibly a Timeout the kernel has since recycled.
+        # raises below, a retained _target would keep the last awaited
+        # event (and whatever its value holds) alive with the process.
         self._target = None
         try:
             if event._ok:

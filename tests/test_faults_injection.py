@@ -1,9 +1,8 @@
 """FaultInjector end-to-end: determinism, recovery tracking, rebuilds.
 
 The acceptance bar for the framework: campaigns are kernel events, so a
-seeded run with a fault plan is byte-identical across kernel fast-path
-configurations, and an *empty* plan reproduces the pre-framework trace
-exactly.
+seeded run with a fault plan reproduces its trace byte for byte, and an
+*empty* plan reproduces the pre-framework trace exactly.
 """
 
 import pytest
@@ -16,8 +15,8 @@ from repro.sim.faults import FAULT_EXCEPTIONS
 from repro.sim.units import gbps, mib
 
 
-def _build(pooling: bool = True, seed: int = 11):
-    sim = Simulator(pooling=pooling)
+def _build(seed: int = 11):
+    sim = Simulator()
     system = NetStorageSystem(sim, SystemConfig(
         blade_count=4, disk_count=16, disk_capacity=mib(64),
         seed=seed, observability=True))
@@ -54,8 +53,8 @@ def _crash_plan() -> FaultPlan:
 
 
 class TestDeterminism:
-    def _trace(self, pooling: bool, plan: FaultPlan | None):
-        sim, system = _build(pooling=pooling)
+    def _trace(self, plan: FaultPlan | None):
+        sim, system = _build()
         if plan is not None:
             system.attach_faults(plan)
         _run_workload(sim, system)
@@ -64,16 +63,11 @@ class TestDeterminism:
     def test_empty_plan_matches_unfaulted_run(self):
         # Binding + arming an empty campaign must be invisible: same
         # events, same timings, byte for byte.
-        assert self._trace(True, FaultPlan()) == self._trace(True, None)
-
-    def test_fault_campaign_identical_pooling_on_off(self):
-        a = self._trace(True, _crash_plan())
-        b = self._trace(False, _crash_plan())
-        assert a == b
+        assert self._trace(FaultPlan()) == self._trace(None)
 
     def test_plan_survives_json_round_trip_identically(self):
         clone = FaultPlan.from_json(_crash_plan().to_json())
-        assert self._trace(True, clone) == self._trace(True, _crash_plan())
+        assert self._trace(clone) == self._trace(_crash_plan())
 
     def test_timeline_is_reproducible(self):
         def timeline():

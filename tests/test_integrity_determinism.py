@@ -2,17 +2,17 @@
 
 ``SystemConfig(integrity=True)`` with no corruption injected (and no
 scrub daemon started) must produce byte-identical traces to a run with
-integrity off — under both kernel pooling modes — and an armed-but-empty
-fault campaign must change nothing either.
+integrity off, and an armed-but-empty fault campaign must change nothing
+either.
 """
 
 from repro import FaultPlan, NetStorageSystem, Simulator, SystemConfig
 from repro.sim.units import mib
 
 
-def _trace(pooling: bool, integrity: bool, arm_empty_plan: bool = False,
+def _trace(integrity: bool, arm_empty_plan: bool = False,
            seed: int = 11) -> str:
-    sim = Simulator(pooling=pooling)
+    sim = Simulator()
     system = NetStorageSystem(sim, SystemConfig(
         blade_count=4, disk_count=16, disk_capacity=mib(512),
         seed=seed, observability=True, integrity=integrity))
@@ -34,25 +34,14 @@ def _trace(pooling: bool, integrity: bool, arm_empty_plan: bool = False,
 
 
 def test_integrity_off_vs_on_byte_identical():
-    assert _trace(pooling=True, integrity=False) == \
-        _trace(pooling=True, integrity=True)
-
-
-def test_integrity_byte_identical_without_pooling():
-    assert _trace(pooling=False, integrity=False) == \
-        _trace(pooling=False, integrity=True)
-
-
-def test_pooling_invariance_survives_integrity():
-    assert _trace(pooling=True, integrity=True) == \
-        _trace(pooling=False, integrity=True)
+    assert _trace(integrity=False) == _trace(integrity=True)
 
 
 def test_empty_campaign_is_trace_neutral():
     # Arming an empty FaultPlan (the control campaign) with integrity on
     # must cost nothing either.
-    assert _trace(pooling=True, integrity=True) == \
-        _trace(pooling=True, integrity=True, arm_empty_plan=True)
+    assert _trace(integrity=True) == \
+        _trace(integrity=True, arm_empty_plan=True)
 
 
 def test_clean_run_summary_is_all_zero():

@@ -4,8 +4,8 @@
 all advance time through the same loop, with or without a profiler
 attached.  The oracle here is differential: one traced system driven each
 of those ways must end in the same state — a byte-identical trace with
-observability on, the same clock and event count with it off — across
-Timeout pooling on and off.  The edge cases pin the loop's exits: a queue
+observability on, the same clock and event count with it off.  The edge
+cases pin the loop's exits: a queue
 that runs dry under an event bound, ``step()`` on an empty queue, and the
 event counter when a callback raises.
 """
@@ -48,8 +48,8 @@ DRIVERS = {
 }
 
 
-def _system_trace(drive, pooling: bool, obs: bool, seed: int = 11) -> str:
-    sim = Simulator(pooling=pooling)
+def _system_trace(drive, obs: bool, seed: int = 11) -> str:
+    sim = Simulator()
     # Every driver gets the same stop event, so the event streams match.
     stop = sim.timeout(HORIZON)
     system = NetStorageSystem(sim, SystemConfig(
@@ -82,10 +82,9 @@ def _system_trace(drive, pooling: bool, obs: bool, seed: int = 11) -> str:
     return system.trace_json()
 
 
-@pytest.mark.parametrize("pooling", [True, False])
 @pytest.mark.parametrize("obs", [True, False])
-def test_dispatch_paths_byte_identical(pooling, obs):
-    traces = {name: _system_trace(drive, pooling, obs)
+def test_dispatch_paths_byte_identical(obs):
+    traces = {name: _system_trace(drive, obs)
               for name, drive in DRIVERS.items()}
     assert len(set(traces.values())) == 1, sorted(traces)
     assert traces["step"]  # a real trace, not an empty run
