@@ -97,8 +97,7 @@ NO_RETRY = RetryPolicy(attempts=1)
 def retry_call(sim: "Simulator", op: Callable[[], Event],
                policy: RetryPolicy,
                rng: np.random.Generator | None = None,
-               component: str = "",
-               on_retry: Callable[[int, BaseException], None] | None = None):
+               component: str = ""):
     """Process fragment: ``result = yield from retry_call(...)``.
 
     Calls ``op()`` (which must return a fresh completion Event per call)
@@ -125,8 +124,6 @@ def retry_call(sim: "Simulator", op: Callable[[], Event],
             delay = policy.backoff(attempt, rng)
             if sim.now + delay - start > policy.deadline:
                 raise RetryExhausted(attempt, exc) from exc
-            if on_retry is not None:
-                on_retry(attempt, exc)
             if component and sim.obs is not None:
                 sim.obs.log.warning(component, "retry",
                                     attempt=attempt, delay=round(delay, 6),

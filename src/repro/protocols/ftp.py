@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..faults.retry import NO_RETRY, RetryPolicy, retry_call
 from ..sim.events import Event
 from ..sim.faults import FAULT_EXCEPTIONS
 from ..sim.link import FairShareLink
@@ -28,14 +27,12 @@ class FtpExport:
                  client_link: FairShareLink,
                  handshake_time: float = ms(2),
                  chunk_size: int = mib(1),
-                 retry_policy: RetryPolicy = NO_RETRY,
                  name: str = "ftp") -> None:
         self.sim = sim
         self.storage_read = storage_read
         self.client_link = client_link
         self.handshake_time = handshake_time
         self.chunk_size = chunk_size
-        self.retry_policy = retry_policy
         self.name = name
         self.transfers_completed = 0
         self.transfers_failed = 0
@@ -54,9 +51,7 @@ class FtpExport:
         try:
             while pos < nbytes:
                 take = min(self.chunk_size, nbytes - pos)
-                yield from retry_call(
-                    self.sim, lambda t=take: self.storage_read(t),
-                    self.retry_policy, component=self.name)
+                yield self.storage_read(take)
                 pending.append(self.client_link.transfer(take))
                 pos += take
             yield self.sim.all_of(pending)

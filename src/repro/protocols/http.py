@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from ..faults.retry import NO_RETRY, RetryPolicy, retry_call
 from ..sim.events import Event
 from ..sim.faults import FAULT_EXCEPTIONS
 from ..sim.link import FairShareLink
@@ -36,7 +35,6 @@ class DirectHttpExport:
                  request_overhead: float = us(200),
                  auth_callout: float = 0.001,
                  chunk_size: int = mib(1),
-                 retry_policy: RetryPolicy = NO_RETRY,
                  name: str = "http") -> None:
         self.sim = sim
         self.storage_read = storage_read
@@ -44,7 +42,6 @@ class DirectHttpExport:
         self.request_overhead = request_overhead
         self.auth_callout = auth_callout
         self.chunk_size = chunk_size
-        self.retry_policy = retry_policy
         self.name = name
         self.requests_served = 0
         self.requests_failed = 0
@@ -64,9 +61,7 @@ class DirectHttpExport:
         try:
             while pos < nbytes:
                 take = min(self.chunk_size, nbytes - pos)
-                yield from retry_call(
-                    self.sim, lambda t=take: self.storage_read(t),
-                    self.retry_policy, component=self.name)
+                yield self.storage_read(take)
                 pending.append(self.client_link.transfer(take))
                 pos += take
             if pending:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from ..faults.retry import NO_RETRY, RetryPolicy, retry_call
 from ..security.lun_masking import LunMaskingTable, MaskingViolation
 from ..sim.events import Event
 from ..sim.faults import FAULT_EXCEPTIONS
@@ -27,15 +26,11 @@ class ScsiTarget:
 
     def __init__(self, sim: "Simulator", masking: LunMaskingTable,
                  backend: Backend, per_op_overhead: float = us(20),
-                 retry_policy: RetryPolicy = NO_RETRY,
                  name: str = "scsi") -> None:
         self.sim = sim
         self.masking = masking
         self.backend = backend
         self.per_op_overhead = per_op_overhead
-        #: Recovery for transient backend faults; NO_RETRY = pre-framework
-        #: single-attempt behavior.
-        self.retry_policy = retry_policy
         self.name = name
         self.commands_served = 0
         self.commands_rejected = 0
@@ -60,9 +55,7 @@ class ScsiTarget:
             self.commands_rejected += 1
             raise MaskingViolation(f"{initiator} -> {lun} {op} denied")
         try:
-            result = yield from retry_call(
-                self.sim, lambda: self.backend(lun, op, offset, nbytes),
-                self.retry_policy, component=self.name)
+            result = yield self.backend(lun, op, offset, nbytes)
         except FAULT_EXCEPTIONS:
             # Simulated storage failures surface as a failed command (a
             # CHECK CONDITION, in SCSI terms).
