@@ -14,6 +14,7 @@ into a measured RPO (data-loss window) instead of silent corruption.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ..faults.retry import RetryPolicy
@@ -360,6 +361,7 @@ class GeoReplicator:
             for stale in sorted(gf.copies - {origin.name} - target_names):
                 self._note_divergence(gf, stale, nbytes)
             if mode is ReplicationMode.SYNC and targets:
+                version = gf.version
                 transfers = []
                 for target in targets:
                     transfers.append(self._replicate_to(gf, origin, target,
@@ -370,18 +372,17 @@ class GeoReplicator:
                         yield self.sim.all_of(transfers)
                 except FAULT_EXCEPTIONS as exc:
                     # A sync target died mid-replication: the write
-                    # fails visibly.
+                    # fails visibly.  A transfer still on the WAN is not
+                    # current yet; it settles when it finishes.
                     for target, ev in zip(targets, transfers):
                         if target.failed:
                             self._note_site_down(target.name)
-                        if ev.ok:
-                            gf.site_versions[target.name] = gf.version
+                        settle = partial(self._settle_sync_transfer, gf,
+                                         target.name, version, nbytes)
+                        if ev.triggered:
+                            settle(ev)
                         else:
-                            # The barrier failed the write, so the caller
-                            # will not retry these bytes toward this
-                            # target: the replica is divergent until the
-                            # reconciler re-ships them.
-                            self._note_divergence(gf, target.name, nbytes)
+                            ev.add_callback(settle)
                     if obs is not None:
                         obs.log.error("geo.replication",
                                       "sync_replicate_failed", path=path,
@@ -396,6 +397,18 @@ class GeoReplicator:
                     self._check_lag(target.name)
                     self._ensure_pump(target.name)
             return nbytes
+
+    def _settle_sync_transfer(self, gf: GeoFile, site_name: str,
+                              version: int, nbytes: int, ev: Event) -> None:
+        """Account one finished transfer of a failed sync write."""
+        if ev.ok:
+            if gf.site_versions.get(site_name, -1) < version:
+                gf.site_versions[site_name] = version
+        else:
+            # The barrier failed the write, so the caller will not retry
+            # these bytes toward this target: the replica is divergent
+            # until the reconciler re-ships them.
+            self._note_divergence(gf, site_name, nbytes)
 
     def _replicate_to(self, gf: GeoFile, origin: Site, target: Site,
                       nbytes: int, parent=None) -> Event:

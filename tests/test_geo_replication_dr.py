@@ -10,7 +10,7 @@ from repro.geo import (
     Site,
     WanNetwork,
 )
-from repro.sim import Simulator
+from repro.sim import FAULT_EXCEPTIONS, Simulator
 from repro.sim.units import gbps, mib
 
 SYNC1 = FilePolicy(replication_mode=ReplicationMode.SYNC, replication_sites=1)
@@ -141,6 +141,51 @@ class TestGeoReplicator:
         sim.run()
         assert latencies["far"] > latencies["near"]
         assert "c" in rep.files["/far"].copies  # distance floor respected
+
+    @staticmethod
+    def _sync_write_losing_b(fail_c_at: float | None):
+        """A sync 8 MiB write from ``a`` to both ``b`` and ``c``; ``b``
+        fails while its transfer is on the WAN, failing the write while
+        the slower transfer to ``c`` is still in flight.  Returns the
+        replicator, ``c``'s version as the caller saw the write fail, and
+        the write's version."""
+        sim = Simulator()
+        net, a, b, c = ring(sim)
+        rep = GeoReplicator(sim, net)
+        rep.register("/f", FilePolicy(replication_mode=ReplicationMode.SYNC,
+                                      replication_sites=2), a)
+        sim.call_at(0.03, b.fail)
+        if fail_c_at is not None:
+            sim.call_at(fail_c_at, c.fail)
+        seen = {}
+
+        def proc():
+            try:
+                yield rep.write("/f", mib(8))
+            except FAULT_EXCEPTIONS:
+                gf = rep.files["/f"]
+                seen["c"] = gf.site_versions.get("c")
+                seen["version"] = gf.version
+
+        sim.process(proc())
+        sim.run()
+        return rep, seen["c"], seen["version"]
+
+    def test_sync_failure_leaves_inflight_replica_until_it_lands(self):
+        rep, c_at_failure, version = self._sync_write_losing_b(None)
+        # Still on the WAN when the write failed: not current yet...
+        assert c_at_failure is None
+        # ...and current once its bytes landed.
+        assert rep.files["/f"].site_versions["c"] == version
+        assert ("/f", "c") not in rep.divergence
+        assert rep.divergence[("/f", "b")] == mib(8)
+
+    def test_sync_failure_notes_divergence_when_inflight_replica_fails(self):
+        rep, c_at_failure, _version = self._sync_write_losing_b(0.06)
+        assert c_at_failure is None
+        assert "c" not in rep.files["/f"].site_versions
+        assert rep.divergence[("/f", "c")] == mib(8)
+        assert rep.divergence[("/f", "b")] == mib(8)
 
     def test_preferred_sites_honored(self):
         sim = Simulator()
