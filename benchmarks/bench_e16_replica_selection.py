@@ -85,8 +85,7 @@ def run_policy(policy, accesses, faults=False):
         plan = (FaultPlan().add(2.0, "site_loss", "far", duration=1.5)
                 .add(6.0, "site_loss", "far", duration=1.5))
         injector.arm(plan)
-    baseline = sum(d["link"].total_bytes
-                   for _u, _v, d in net.graph.edges(data=True))
+    baseline = sum(link.total_bytes for _u, _v, link in net.links())
     latency = Tally()
     failed = 0
 
@@ -104,11 +103,11 @@ def run_policy(policy, accesses, faults=False):
 
     p = sim.process(replay())
     sim.run(until=p)
-    wan_bytes = sum(d["link"].total_bytes
-                    for _u, _v, d in net.graph.edges(data=True)) - baseline
+    wan_bytes = sum(link.total_bytes
+                    for _u, _v, link in net.links()) - baseline
     # Bytes on the disaster spare prove rerouting: nothing chooses the
     # thin reader<->home fibre while `far` is up.
-    spare = net.graph.edges["reader", "home"]["link"].total_bytes
+    spare = net.link("reader", "home").total_bytes
     return {"policy": policy,
             "p99_ms": latency.percentile(99) * 1000,
             "mean_ms": latency.mean() * 1000,

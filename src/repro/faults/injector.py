@@ -204,10 +204,9 @@ class FaultInjector:
 
         def cut(spec: FaultSpec) -> None:
             crossing = []
-            for u, v in sorted(net.graph.edges):
+            for u, v, link in net.links():
                 if (u in a_set and v in b_set) \
                         or (u in b_set and v in a_set):
-                    link = net.graph.edges[u, v]["link"]
                     crossing.append(link)
                     self._hold(link)
             batches.append(crossing)
@@ -291,8 +290,8 @@ class FaultInjector:
         for name in sorted(network.sites):
             site = network.sites[name]
             self.bind_site(site, on_loss=lambda s=site: dr.fail_site(s))
-        for u, v in sorted(network.graph.edges):
-            self.bind_link(network.graph.edges[u, v]["link"])
+        for _u, _v, link in network.links():
+            self.bind_link(link)
         return self.bind_partitions(network)
 
     def bind_metacenter(self, mc: "MetadataCenter") -> "FaultInjector":

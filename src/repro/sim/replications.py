@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,11 @@ def summarize(values: Sequence[float],
     sem = float(arr.std(ddof=1) / np.sqrt(arr.size))
     if sem == 0.0:
         return ReplicationSummary(mean, 0.0, int(arr.size), confidence)
-    t = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, arr.size - 1))
+    # scipy costs about half a second to import and only this line uses
+    # it, so it loads here rather than with the package.
+    from scipy import stats
+
+    t = float(stats.t.ppf(0.5 + confidence / 2.0, arr.size - 1))
     return ReplicationSummary(mean, t * sem, int(arr.size), confidence)
 
 

@@ -103,8 +103,8 @@ class TestOverlapComposition:
     def test_link_flap_overlapping_partition_no_early_repair(self):
         sim = Simulator()
         net, a, b, c = triangle(sim)
-        ab = net.graph.edges["a", "b"]["link"]
-        ac = net.graph.edges["a", "c"]["link"]
+        ab = net.link("a", "b")
+        ac = net.link("a", "c")
         injector = FaultInjector(sim).bind_partitions(net)
         injector.bind_link(ab)
         plan = (FaultPlan()

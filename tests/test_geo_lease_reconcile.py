@@ -38,12 +38,12 @@ def ring(sim):
 def isolate(net, site, *others):
     """Cut every fibre touching ``site`` (a one-site partition)."""
     for other in others:
-        net.graph.edges[site.name, other.name]["link"].fail()
+        net.link(site.name, other.name).fail()
 
 
 def heal(net, site, *others):
     for other in others:
-        net.graph.edges[site.name, other.name]["link"].repair()
+        net.link(site.name, other.name).repair()
 
 
 class TestLeaseAuthority:

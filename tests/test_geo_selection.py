@@ -141,8 +141,8 @@ class TestFixedBugs:
         def client():
             yield dam.pin_replica("/f", b)
             # Cut every fibre touching a: alive, holds the file, no route.
-            net.graph.edges["a", "r"]["link"].failed = True
-            net.graph.edges["a", "b"]["link"].failed = True
+            net.link("a", "r").failed = True
+            net.link("a", "b").failed = True
             # Static ranks a first (100 km vs 4900 km) — pre-fix this
             # read died with NoRouteError instead of using b's copy.
             src = yield dam.read("/f", 0, r)
@@ -188,7 +188,7 @@ class TestFixedBugs:
                                        selection="cost")
         fr = dam.register("/f", mib(1), home=a)
         fr.resident["b"] = set(range(fr.block_count))
-        net.graph.edges["a", "r"]["link"].failed = True
+        net.link("a", "r").failed = True
         sel = dam.selector
         assert sel.cost(fr, a, r, mib(1)) == UNREACHABLE
         assert [s.name for s in sel.rank(fr, 0, r, mib(1))] == ["b", "a"]
@@ -229,8 +229,8 @@ class TestRouteHistory:
     def test_partitioned_route_is_unreachable(self):
         sim = Simulator()
         net, a, b, _c = ring(sim)
-        for u, v in list(net.graph.edges):
-            net.graph.edges[u, v]["link"].failed = True
+        for u, v, link in net.links():
+            link.failed = True
         hist = RouteHistory(net)
         assert hist.predicted_seconds(a, b, mib(1)) == UNREACHABLE
         assert hist.hops(a, b) == 0
