@@ -388,8 +388,9 @@ class GeoReplicator:
                                       "sync_replicate_failed", path=path,
                                       error=type(exc).__name__)
                     raise
-                for target in targets:
-                    gf.site_versions[target.name] = gf.version
+                for target, ev in zip(targets, transfers):
+                    self._settle_sync_transfer(gf, target.name, version,
+                                               nbytes, ev)
                     self._note_copy_complete(gf, target.name)
             elif mode is ReplicationMode.ASYNC and targets:
                 for target in targets:
@@ -400,7 +401,9 @@ class GeoReplicator:
 
     def _settle_sync_transfer(self, gf: GeoFile, site_name: str,
                               version: int, nbytes: int, ev: Event) -> None:
-        """Account one finished transfer of a failed sync write."""
+        """Account one finished transfer of a sync write: a landed one
+        makes the target current through this write's ``version``, not
+        a later write's, unless the target is already newer."""
         if ev.ok:
             if gf.site_versions.get(site_name, -1) < version:
                 gf.site_versions[site_name] = version
