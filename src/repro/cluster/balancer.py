@@ -35,8 +35,19 @@ class LoadBalancer:
         if not live:
             raise NoBladesAvailableError("no live controller blades")
         self._rr += 1
-        best = min(live, key=lambda bid: (self.in_flight.get(bid, 0),
-                                          (bid + self._rr) % len(live)))
+        rr, n, in_flight = self._rr, len(live), self.in_flight
+        # min() over the key (in_flight, (bid + rr) % n), first minimum
+        # winning, written out: this runs once per request.
+        best = live[0]
+        best_load = in_flight.get(best, 0)
+        best_turn = (best + rr) % n
+        for bid in live:
+            load = in_flight.get(bid, 0)
+            if load > best_load:
+                continue
+            turn = (bid + rr) % n
+            if load < best_load or turn < best_turn:
+                best, best_load, best_turn = bid, load, turn
         return best
 
     def start(self, blade_id: int) -> None:

@@ -30,11 +30,15 @@ class ClusterMembership:
         self.detection_delay = detection_delay
         self._handlers: list[MembershipHandler] = []
         self.transitions: list[tuple[float, int, str]] = []
+        #: Sorted ids of UP blades, derived on demand and dropped on every
+        #: state transition and join (``_on_blade_state``, ``_register``).
+        self._live_ids: list[int] | None = None
         for blade in blades:
             self._register(blade)
 
     def _register(self, blade: ControllerBlade) -> None:
         self.blades[blade.blade_id] = blade
+        self._live_ids = None
         blade.observe(self._on_blade_state)
 
     def add_blade(self, blade: ControllerBlade) -> None:
@@ -55,8 +59,10 @@ class ClusterMembership:
         return [b for b in self.blades.values() if b.state is BladeState.UP]
 
     def live_ids(self) -> list[int]:
-        """Sorted ids of blades currently UP."""
-        return sorted(b.blade_id for b in self.live())
+        """Sorted ids of blades currently UP (shared: do not mutate)."""
+        if self._live_ids is None:
+            self._live_ids = sorted(b.blade_id for b in self.live())
+        return self._live_ids
 
     @property
     def size(self) -> int:
@@ -69,6 +75,8 @@ class ClusterMembership:
     # -- notification plumbing --------------------------------------------------------
 
     def _on_blade_state(self, blade: ControllerBlade) -> None:
+        # Drop the live set before any handler below can read it.
+        self._live_ids = None
         state = blade.state
         if state is BladeState.FAILED:
             # Failure is noticed only after heartbeats time out.

@@ -58,9 +58,17 @@ class RollingUpgrade:
                     f"{self.min_live} live blades")
             blade.drain()
             self.log.append((self.sim.now, blade_id, "draining"))
-            while not self.balancer.idle(blade_id):
+            while not self.balancer.idle(blade_id) \
+                    or blade.state is BladeState.UP:
+                # A blade failed and repaired during the wait has rejoined:
+                # drain it again (a no-op while it is DRAINING).
+                blade.drain()
                 yield self.sim.timeout(self.drain_poll)
-            # Down for the flash/reboot window.
+            # Down for the flash/reboot window.  A bare write, not fail():
+            # an upgrade loses no cache and notifies nobody.  The cached
+            # live sets (membership, cache pool) stay right only because
+            # the blade is DRAINING or FAILED here, neither of which a live
+            # set holds; repair() below notifies them as usual.
             blade.state = BladeState.FAILED
             self.log.append((self.sim.now, blade_id, "down"))
             yield self.sim.timeout(self.upgrade_duration)

@@ -81,7 +81,12 @@ class Process(Event):
             raise TypeError(
                 f"Process requires a generator, got {type(gen).__name__}; "
                 "did you forget a yield in the process function?")
-        super().__init__(sim)
+        # Event.__init__ inlined, as in Timeout: one process per operation.
+        self.sim = sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._processed = False
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self._target: Event | None = None

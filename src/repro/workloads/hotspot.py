@@ -45,13 +45,30 @@ class ZipfKeyGenerator:
         return self.key_of(min(rank, self.population - 1))
 
     def draw_many(self, count: int) -> list[Hashable]:
-        """Vector-sample ``count`` keys in one numpy call."""
-        ranks = np.searchsorted(self._cdf, self.rng.random(count))
-        return [self.key_of(int(min(r, self.population - 1))) for r in ranks]
+        """Vector-sample ``count`` keys in one numpy call: the keys
+        ``count`` successive :meth:`draw` calls would return."""
+        ranks = np.minimum(np.searchsorted(self._cdf, self.rng.random(count)),
+                           self.population - 1)
+        key_of = self.key_of
+        return [key_of(r) for r in ranks.tolist()]
+
+
+#: Arrival gaps and keys drawn per numpy call.
+_BATCH = 1024
 
 
 class HotspotWorkload:
-    """Open-loop Zipf read traffic at a fixed arrival rate."""
+    """Open-loop Zipf read traffic at a fixed arrival rate.
+
+    Gaps and keys are drawn ``_BATCH`` at a time and consumed in order,
+    which yields the same values as one scalar draw per request: numpy's
+    ``Generator`` fills a vector with the values successive scalar calls
+    return.  That holds only while the two draws come from distinct
+    streams, so ``rng`` must not be the key generator's rng (a shared
+    stream would be read in a different order).  The unconsumed rest of
+    each batch stays on the instance: a second :meth:`run` continues both
+    streams where the first stopped.
+    """
 
     def __init__(self, sim: "Simulator", generator: ZipfKeyGenerator,
                  issue: Callable[[Hashable], Event],
@@ -59,6 +76,8 @@ class HotspotWorkload:
                  rng: np.random.Generator) -> None:
         if arrival_rate <= 0 or duration <= 0:
             raise ValueError("arrival_rate and duration must be > 0")
+        if rng is generator.rng:
+            raise ValueError("arrivals and keys need distinct rng streams")
         self.sim = sim
         self.generator = generator
         self.issue = issue
@@ -69,6 +88,9 @@ class HotspotWorkload:
         self.issued = 0
         self.completed = 0
         self.failures = 0
+        # Drawn but not yet consumed, in reverse so pop() takes the next.
+        self._gaps: list[float] = []
+        self._keys: list[Hashable] = []
 
     def run(self) -> "Process":
         """Start the open-loop arrival process; returns its completion."""
@@ -77,12 +99,17 @@ class HotspotWorkload:
     def _run(self):
         end = self.sim.now + self.duration
         pending: list[Event] = []
+        gaps, keys = self._gaps, self._keys
         while self.sim.now < end:
-            yield self.sim.timeout(
-                float(self.rng.exponential(1.0 / self.arrival_rate)))
+            if not gaps:
+                gaps += reversed(self.rng.exponential(
+                    1.0 / self.arrival_rate, _BATCH).tolist())
+            yield self.sim.timeout(gaps.pop())
             if self.sim.now >= end:
                 break
-            key = self.generator.draw()
+            if not keys:
+                keys += reversed(self.generator.draw_many(_BATCH))
+            key = keys.pop()
             pending.append(self.sim.process(self._one(key),
                                             name="hotspot.req"))
             self.issued += 1

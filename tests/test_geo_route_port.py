@@ -90,7 +90,7 @@ def compare(net, graph) -> int:
     checked = 0
     for broken in faults:
         if broken is not None:
-            broken.failed = True
+            broken.fail()
         try:
             for src, dst in itertools.product(sites, repeat=2):
                 want = outcome(lambda s, d: reference_route(graph, net, s, d),
@@ -100,7 +100,7 @@ def compare(net, graph) -> int:
                 checked += 1
         finally:
             if broken is not None:
-                broken.failed = False
+                broken.repair()
     return checked
 
 
@@ -188,7 +188,7 @@ class TestTies:
                             ("d", "b", 300.0)])
         compare_all(recorded)
         a, b = net.sites["a"], net.sites["b"]
-        net.link("a", "b").failed = True
+        net.link("a", "b").fail()
         assert len(net.route(a, b)) == 2
 
     def test_seeded_tie_heavy_graphs(self, recorded):

@@ -141,8 +141,8 @@ class TestFixedBugs:
         def client():
             yield dam.pin_replica("/f", b)
             # Cut every fibre touching a: alive, holds the file, no route.
-            net.link("a", "r").failed = True
-            net.link("a", "b").failed = True
+            net.link("a", "r").fail()
+            net.link("a", "b").fail()
             # Static ranks a first (100 km vs 4900 km) — pre-fix this
             # read died with NoRouteError instead of using b's copy.
             src = yield dam.read("/f", 0, r)
@@ -188,7 +188,7 @@ class TestFixedBugs:
                                        selection="cost")
         fr = dam.register("/f", mib(1), home=a)
         fr.resident["b"] = set(range(fr.block_count))
-        net.link("a", "r").failed = True
+        net.link("a", "r").fail()
         sel = dam.selector
         assert sel.cost(fr, a, r, mib(1)) == UNREACHABLE
         assert [s.name for s in sel.rank(fr, 0, r, mib(1))] == ["b", "a"]
@@ -230,7 +230,7 @@ class TestRouteHistory:
         sim = Simulator()
         net, a, b, _c = ring(sim)
         for u, v, link in net.links():
-            link.failed = True
+            link.fail()
         hist = RouteHistory(net)
         assert hist.predicted_seconds(a, b, mib(1)) == UNREACHABLE
         assert hist.hops(a, b) == 0
@@ -387,7 +387,7 @@ class TestSelectorFactory:
         # distance, name-tied — from c that is b (3600 km) then a.
         assert [s.name for s in dam.selector.rank(fr, 0, c, mib(1))] \
             == ["b", "a"]
-        b.failed = True
+        b.fail()
         assert [s.name for s in dam.selector.rank(fr, 0, c, mib(1))] \
             == ["a"]
 
