@@ -154,6 +154,14 @@ class ControllerBlade:
         """Register a membership observer (cluster manager hooks in here)."""
         self._observers.append(fn)
 
+    def observe_first(self, fn: Callable[["ControllerBlade"], None]) -> None:
+        """Register ``fn`` ahead of every observer so far.
+
+        For hooks that drop state derived from this blade's state, so
+        that no other observer of the same transition reads it stale.
+        """
+        self._observers.insert(0, fn)
+
     def _notify(self) -> None:
         for fn in list(self._observers):
             fn(self)
