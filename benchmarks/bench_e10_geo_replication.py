@@ -134,8 +134,7 @@ def test_e10b_file_level_vs_volume_level_traffic(benchmark):
         alloc = Allocator([StoragePool("p", 2 * volume, page)])
         dmsd = DemandMappedDevice("vol", volume, alloc)
         dmsd.write(0, volume // 2)  # half the volume is live data
-        ship = SnapshotShippingReplicator(sim3, dmsd, net3, s_a, s_b,
-                                          period=3600.0)
+        ship = SnapshotShippingReplicator(sim3, dmsd, net3, s_a, s_b)
 
         def day3():
             yield from ship.ship_now()          # baseline transfer

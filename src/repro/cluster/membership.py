@@ -33,6 +33,9 @@ class ClusterMembership:
         #: Sorted ids of UP blades, derived on demand and dropped on every
         #: state transition and join (``_on_blade_state``, ``_register``).
         self._live_ids: list[int] | None = None
+        #: State transitions seen per blade id: a delayed failure notice
+        #: is stale once its blade has moved on.
+        self._changes: dict[int, int] = {}
         for blade in blades:
             self._register(blade)
 
@@ -77,19 +80,24 @@ class ClusterMembership:
     def _on_blade_state(self, blade: ControllerBlade) -> None:
         # Drop the live set before any handler below can read it.
         self._live_ids = None
+        changes = self._changes[blade.blade_id] = (
+            self._changes.get(blade.blade_id, 0) + 1)
         state = blade.state
         if state is BladeState.FAILED:
             # Failure is noticed only after heartbeats time out.
-            self.sim.process(self._delayed_notify(blade, "failed"),
+            self.sim.process(self._delayed_notify(blade, "failed", changes),
                              name="membership.detect")
         elif state is BladeState.UP:
             self._notify(blade, "joined")
         elif state is BladeState.DRAINING:
             self._notify(blade, "draining")
 
-    def _delayed_notify(self, blade: ControllerBlade, event: str):
+    def _delayed_notify(self, blade: ControllerBlade, event: str,
+                        changes: int):
         yield self.sim.timeout(self.detection_delay)
-        if blade.state is BladeState.FAILED:  # still down when detected
+        # Still down since *this* failure: a blade that rejoined and went
+        # down again inside the delay is reported by the later notice.
+        if self._changes[blade.blade_id] == changes:
             self._notify(blade, event)
 
     def _notify(self, blade: ControllerBlade, event: str) -> None:

@@ -29,7 +29,6 @@ from ..hardware.blade import BladeState, ControllerBlade
 from ..hardware.disk import make_disk_farm
 from ..raid.decluster import DeclusteredPool
 from ..raid.rebuild import rebuild_job
-from ..security.auth import Authenticator
 from ..security.lun_masking import LunMaskingTable
 from ..security.zones import SecureInstallation, hardened_installation, naive_installation
 from ..sim.events import Event
@@ -93,7 +92,6 @@ class NetStorageSystem:
             name=cfg.name)
 
         # Security plane.
-        self.auth = Authenticator()
         self.masking = LunMaskingTable()
         self.installation: SecureInstallation = (
             hardened_installation() if cfg.security_hardened

@@ -13,7 +13,6 @@ from .policies import (
     PolicyLimits,
     ReplicationMode,
 )
-from .prefetch import PrefetchRegistry, SequentialPrefetcher
 
 __all__ = [
     "CRITICAL",
@@ -30,9 +29,7 @@ __all__ = [
     "PROJECT_DATA",
     "ParallelFileSystem",
     "PolicyLimits",
-    "PrefetchRegistry",
     "ReplicationMode",
     "SCRATCH",
-    "SequentialPrefetcher",
     "split_path",
 ]

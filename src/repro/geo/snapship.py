@@ -2,19 +2,16 @@
 
 Between synchronous/asynchronous per-write replication and the old
 mirror-split approach sits the snapshot-shipping scheme the paper cites
-(NetApp SnapMirror): periodically snapshot the device, diff the page
-tables against the last shipped snapshot, and send only the changed
-pages.  Traffic is proportional to the *delta*, the remote copy is always
-crash-consistent (it is a snapshot), and RPO is bounded by the period
-plus the ship time.
+(NetApp SnapMirror): snapshot the device, diff the page tables against
+the last shipped snapshot, and send only the changed pages.  Traffic is
+proportional to the *delta*, and the remote copy is always
+crash-consistent (it is a snapshot).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sim.faults import FAULT_EXCEPTIONS
-from ..sim.stats import Tally
 from ..virt.dmsd import DemandMappedDevice
 from ..virt.snapshot import Snapshot, take_snapshot
 from .site import Site
@@ -36,51 +33,23 @@ def snapshot_delta_pages(old: Snapshot | None, new: Snapshot) -> int:
 
 
 class SnapshotShippingReplicator:
-    """Ships periodic snapshot deltas of one DMSD across the WAN."""
+    """Ships snapshot deltas of one DMSD across the WAN, one cycle per call."""
 
     def __init__(self, sim: "Simulator", device: DemandMappedDevice,
-                 network: WanNetwork, source: Site, target: Site,
-                 period: float) -> None:
-        if period <= 0:
-            raise ValueError(f"period must be > 0, got {period}")
+                 network: WanNetwork, source: Site, target: Site) -> None:
         self.sim = sim
         self.device = device
         self.network = network
         self.source = source
         self.target = target
-        self.period = period
         self._baseline: Snapshot | None = None
         self.cycles = 0
-        self.skipped_cycles = 0
         self.bytes_shipped = 0
-        self.last_complete_sync: float = float("-inf")
-        self.cycle_durations = Tally()
-        self._running = False
 
-    def start(self) -> None:
-        """Begin periodic snapshot-delta shipping."""
-        if self._running:
-            return
-        self._running = True
-        self.sim.process(self._loop(), name="snapship")
-
-    def _loop(self):
-        while True:
-            yield self.sim.timeout(self.period)
-            if self.source.failed or self.target.failed:
-                self.skipped_cycles += 1
-                continue
-            try:
-                yield from self._one_cycle()
-            except FAULT_EXCEPTIONS:
-                # An endpoint or route died *mid-cycle* (the pre-check
-                # above only sees faults that land between cycles): skip
-                # this delta — the next cycle re-diffs against the same
-                # baseline, so nothing is lost.
-                self.skipped_cycles += 1
-
-    def _one_cycle(self):
-        started = self.sim.now
+    def ship_now(self):
+        """One shipping cycle (a process fragment): snapshot the device,
+        send the pages changed since the last shipped snapshot, and make
+        the new snapshot the baseline."""
         snap = take_snapshot(self.device, f"ship-{self.cycles}",
                              now=self.sim.now)
         delta_pages = snapshot_delta_pages(self._baseline, snap)
@@ -100,18 +69,3 @@ class SnapshotShippingReplicator:
             self._baseline.delete()
         self._baseline = snap
         self.cycles += 1
-        self.last_complete_sync = self.sim.now
-        self.cycle_durations.record(self.sim.now - started)
-
-    def ship_now(self):
-        """One immediate cycle (a process fragment, for tests/benches)."""
-        yield from self._one_cycle()
-
-    def rpo_at(self, failure_time: float) -> float:
-        """Exposure window at a source-site failure: everything written
-        since the snapshot of the newest complete transfer."""
-        if self.last_complete_sync == float("-inf"):
-            return failure_time
-        last_duration = (self.cycle_durations.samples()[-1]
-                         if self.cycle_durations.count else 0.0)
-        return failure_time - (self.last_complete_sync - last_duration)

@@ -1,13 +1,13 @@
-"""Hardware substrate models: disks, blades, ports, and switches.
+"""Hardware substrate models: disks, blades, ports, and network paths.
 
 These stand in for the physical testbed the paper assumes (FC disk farms,
-controller blades, switched fabrics) — see DESIGN.md's substitution table.
+controller blades, FC and Ethernet ports, the PCI-X bus) — see DESIGN.md's
+substitution table.
 """
 
 from .blade import BladeFailedError, BladeState, ControllerBlade
 from .disk import Disk, DiskFailedError, make_disk_farm
 from .ports import NetworkPath, Port, ethernet_port, fc_port, pci_x_bus
-from .switch import Fabric, ethernet_switch, fc_switch
 
 __all__ = [
     "BladeFailedError",
@@ -15,13 +15,10 @@ __all__ = [
     "ControllerBlade",
     "Disk",
     "DiskFailedError",
-    "Fabric",
     "NetworkPath",
     "Port",
     "ethernet_port",
-    "ethernet_switch",
     "fc_port",
-    "fc_switch",
     "make_disk_farm",
     "pci_x_bus",
 ]

@@ -2,10 +2,7 @@
 
 from .ftp import FtpExport
 from .http import DirectHttpExport, ServerMediatedExport
-from .iscsi import IscsiPortal
-from .nas import NasServer
 from .rtsp import RtspSession, SessionStats, run_sessions
-from .scsi import ScsiTarget
 from .transports import (
     ALL_TRANSPORTS,
     DAFS_TRANSPORT,
@@ -27,10 +24,7 @@ __all__ = [
     "TransportEndpoint",
     "TransportProfile",
     "FtpExport",
-    "IscsiPortal",
-    "NasServer",
     "RtspSession",
-    "ScsiTarget",
     "ServerMediatedExport",
     "SessionStats",
     "run_sessions",

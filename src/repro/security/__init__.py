@@ -1,7 +1,6 @@
-"""Data security: auth, LUN masking, encryption, fabric zoning (§5)."""
+"""Data security: LUN masking, encryption, fabric zoning, audit (§5)."""
 
 from .audit import AuditEvent, AuditLog
-from .auth import Account, AuthError, Authenticator, Token
 from .crypto import (
     CryptoCostModel,
     EncryptedBlockStore,
@@ -22,19 +21,15 @@ from .zones import (
 
 __all__ = [
     "CONTROL_COMMANDS",
-    "Account",
     "AttackResult",
     "AuditEvent",
     "AuditLog",
-    "AuthError",
-    "Authenticator",
     "CryptoCostModel",
     "EncryptedBlockStore",
     "LunMaskingTable",
     "MaskingViolation",
     "SecureInstallation",
     "StreamCipher",
-    "Token",
     "Zone",
     "ZoneConfig",
     "derive_key",

@@ -1,4 +1,4 @@
-"""Storage virtualization: pools, thick volumes, DMSDs, snapshots (§3)."""
+"""Storage virtualization: pools, DMSDs, snapshots, charge-back (§3)."""
 
 from .allocator import AllocationError, Allocator, PageRef, StoragePool
 from .chargeback import ChargebackMeter
@@ -6,7 +6,6 @@ from .dmsd import MAX_DMSD_BYTES, DemandMappedDevice, DmsdError
 from .legacy import LegacyArray, LegacyProfile, absorb_legacy_array, evacuate_pool
 from .remap import MigrationReport, PageMigrator
 from .snapshot import Snapshot, take_snapshot
-from .volume import VirtualVolume, VolumeError
 
 __all__ = [
     "MAX_DMSD_BYTES",
@@ -22,8 +21,6 @@ __all__ = [
     "PageRef",
     "Snapshot",
     "StoragePool",
-    "VirtualVolume",
-    "VolumeError",
     "absorb_legacy_array",
     "evacuate_pool",
     "take_snapshot",

@@ -1,7 +1,6 @@
 """Workload generators: streams, hot-spot skew, growth and site traces."""
 
 from .aggregate import FluidStream
-from .checkpoint import CheckpointWorkload
 from .hotspot import HotspotWorkload, ZipfKeyGenerator
 from .streams import (
     SequentialStream,
@@ -11,7 +10,6 @@ from .streams import (
 from .traces import SiteAccess, multi_site_trace, tenant_growth_traces
 
 __all__ = [
-    "CheckpointWorkload",
     "FluidStream",
     "HotspotWorkload",
     "SequentialStream",

@@ -61,6 +61,27 @@ class TestMembership:
         assert "failed" not in seen
         assert "joined" in seen
 
+    def test_refailed_blade_reported_once(self):
+        """A blade that rejoins and fails again inside the detection delay
+        gets one notice, for the second failure."""
+        sim = Simulator()
+        ms = make_membership(sim, detection_delay=0.5)
+        seen = []
+        ms.on_change(lambda blade, ev: seen.append((sim.now, blade.blade_id, ev)))
+
+        def flapper():
+            yield sim.timeout(0.1)
+            ms.blades[0].fail()
+            yield sim.timeout(0.1)
+            ms.blades[0].repair()
+            yield sim.timeout(0.05)
+            ms.blades[0].fail()
+
+        sim.process(flapper())
+        sim.run()
+        assert [e for e in seen if e[2] == "failed"] == [
+            (pytest.approx(0.75), 0, "failed")]
+
     def test_add_blade(self):
         sim = Simulator()
         ms = make_membership(sim, n=2)

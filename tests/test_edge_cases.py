@@ -121,30 +121,6 @@ class TestDiskSequentialAfterRepair:
         assert fresh > seq
 
 
-class TestNasMaxTransferEdge:
-    def test_partial_final_rpc(self):
-        from repro.fs import ParallelFileSystem
-        from repro.protocols import NasServer
-        from repro.sim.units import kib
-        from repro.virt import Allocator, StoragePool
-        sim = Simulator()
-        alloc = Allocator([StoragePool("p", 256 * kib(64), kib(64))])
-        pfs = ParallelFileSystem(alloc, [0], stripe_unit=kib(64))
-        pfs.create("/f")
-        pfs.write("/f", 0, kib(40))
-        nas = NasServer(sim, pfs, lambda b, k, o: sim.timeout(0.0001),
-                        max_transfer=kib(32))
-
-        def proc():
-            got = yield nas.read("/f", 0, kib(40))
-            return got
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.value == kib(40)
-        assert nas.rpc_count == 2  # 32 KiB + 8 KiB
-
-
 class TestMirrorRoundRobinUnderLoad:
     def test_raid1_reads_split_between_mirrors(self):
         from repro.hardware import make_disk_farm

@@ -1,4 +1,4 @@
-"""Unit tests for the parallel file system and prefetcher."""
+"""Unit tests for the parallel file system."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.fs import (
     FsError,
     ParallelFileSystem,
     PolicyLimits,
-    SequentialPrefetcher,
 )
 from repro.virt import Allocator, StoragePool
 
@@ -146,54 +145,3 @@ class TestStriping:
             ParallelFileSystem(alloc, [], stripe_unit=PAGE)
         with pytest.raises(ValueError):
             ParallelFileSystem(alloc, [0], stripe_unit=0)
-
-
-class TestPrefetcher:
-    def test_sequential_run_ramps_window(self):
-        issued = []
-        pf = SequentialPrefetcher(issued.append, initial_depth=2, max_depth=8)
-        pf.on_access(0)   # first access stages initial window
-        pf.on_access(1)   # sequential: ramp
-        pf.on_access(2)
-        assert pf.was_prefetched(3)
-        assert max(issued) >= 6  # window grew past initial depth
-        assert pf.prefetches_issued == len(issued)
-
-    def test_seek_collapses_window(self):
-        issued = []
-        pf = SequentialPrefetcher(issued.append, initial_depth=2, max_depth=8)
-        pf.on_access(0)
-        pf.on_access(1)
-        pf.on_access(100)  # random seek
-        assert not pf.was_prefetched(3)
-        assert pf._depth == 2
-
-    def test_no_duplicate_prefetches(self):
-        issued = []
-        pf = SequentialPrefetcher(issued.append, initial_depth=4, max_depth=4)
-        pf.on_access(0)
-        pf.on_access(1)
-        pf.on_access(2)
-        assert len(issued) == len(set(issued))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SequentialPrefetcher(lambda b: None, initial_depth=0)
-        with pytest.raises(ValueError):
-            SequentialPrefetcher(lambda b: None, initial_depth=4, max_depth=2)
-
-    def test_registry_per_stream(self):
-        from repro.fs import PrefetchRegistry
-        calls = {}
-
-        def factory(handle):
-            calls[handle] = []
-            return calls[handle].append
-
-        reg = PrefetchRegistry(factory, initial_depth=2, max_depth=4)
-        reg.stream("h1").on_access(0)
-        reg.stream("h2").on_access(10)
-        assert reg.stream("h1") is reg.stream("h1")
-        assert calls["h1"] and calls["h2"]
-        reg.close("h1")
-        assert reg.stream("h1") is not None  # fresh one after close

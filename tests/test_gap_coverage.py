@@ -11,35 +11,6 @@ from repro.sim import Simulator
 from repro.sim.units import gbps, mib
 
 
-class TestScsiBackendFailures:
-    def test_backend_exception_reaches_initiator(self):
-        from repro.protocols import ScsiTarget
-        from repro.security import LunMaskingTable
-        sim = Simulator()
-        masking = LunMaskingTable()
-        masking.register_lun("lun0")
-        masking.expose("host", "lun0")
-
-        def broken_backend(lun, op, offset, nbytes):
-            ev = sim.event()
-            ev.fail(IOError("medium error"))
-            return ev
-
-        target = ScsiTarget(sim, masking, broken_backend)
-        caught = []
-
-        def proc():
-            try:
-                yield target.submit("host", "lun0", "read", 0, 512)
-            except IOError:
-                caught.append(True)
-
-        sim.process(proc())
-        sim.run()
-        assert caught == [True]
-        assert target.commands_served == 0
-
-
 class TestGeoInvariants:
     def make(self):
         sim = Simulator()
@@ -99,31 +70,6 @@ class TestGeoInvariants:
         sim.run(until=p)
         assert p.value == mib(1)
         assert rep.files["/f"].copies == {"a"}
-
-
-class TestNasAttrCacheExpiry:
-    def test_cache_expires_after_ttl(self):
-        from repro.fs import ParallelFileSystem
-        from repro.protocols import NasServer
-        from repro.virt import Allocator, StoragePool
-        sim = Simulator()
-        page = 64 * 1024
-        alloc = Allocator([StoragePool("p", 64 * page, page)])
-        pfs = ParallelFileSystem(alloc, [0], stripe_unit=page)
-        pfs.create("/f")
-        nas = NasServer(sim, pfs, lambda b, k, o: sim.timeout(0),
-                        attr_cache_ttl=1.0)
-
-        def proc():
-            yield nas.getattr("/f")
-            first = nas.rpc_count
-            yield sim.timeout(2.0)  # TTL passes
-            yield nas.getattr("/f")
-            return nas.rpc_count - first
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.value == 1  # re-fetched after expiry
 
 
 class TestMetacenterErrors:

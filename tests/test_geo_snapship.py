@@ -3,6 +3,7 @@
 import pytest
 
 from repro.geo import (
+    NoRouteError,
     Site,
     SnapshotShippingReplicator,
     WanNetwork,
@@ -15,14 +16,14 @@ from repro.virt import Allocator, DemandMappedDevice, StoragePool, take_snapshot
 PAGE = mib(1)
 
 
-def make_env(sim, period=60.0):
+def make_env(sim):
     net = WanNetwork(sim)
     a = net.add_site(Site(sim, "a", (0.0, 0.0)))
     b = net.add_site(Site(sim, "b", (0.0, 800.0)))
     net.connect(a, b, bandwidth=gbps(2.5))
     alloc = Allocator([StoragePool("p", 4096 * PAGE, PAGE)])
     dmsd = DemandMappedDevice("vol", 2048 * PAGE, alloc)
-    ship = SnapshotShippingReplicator(sim, dmsd, net, a, b, period=period)
+    ship = SnapshotShippingReplicator(sim, dmsd, net, a, b)
     return net, dmsd, ship
 
 
@@ -64,59 +65,53 @@ class TestShipping:
         assert first == 8 * PAGE
         assert second == PAGE
 
-    def test_periodic_cycles_and_rpo(self):
-        sim = Simulator()
-        _net, dmsd, ship = make_env(sim, period=30.0)
-        dmsd.write(0, 4 * PAGE)
-        ship.start()
-        assert ship.rpo_at(10.0) == 10.0  # nothing shipped yet
-        sim.run(until=200.0)
-        assert ship.cycles >= 5
-        rpo = ship.rpo_at(sim.now)
-        assert 0 < rpo < 2 * 30.0 + 1.0  # bounded by period + ship time
-
     def test_idle_cycles_ship_nothing(self):
         sim = Simulator()
-        _net, dmsd, ship = make_env(sim, period=10.0)
+        _net, dmsd, ship = make_env(sim)
         dmsd.write(0, 2 * PAGE)
-        ship.start()
-        sim.run(until=100.0)
+
+        def cycles():
+            for _ in range(8):
+                yield from ship.ship_now()
+
+        sim.run(until=sim.process(cycles()))
         # Only the first cycle had a delta.
         assert ship.bytes_shipped == 2 * PAGE
-        assert ship.cycles >= 8
+        assert ship.cycles == 8
 
     def test_failed_target_skips_cycle(self):
+        """A cycle against a down site ships nothing and keeps the old
+        baseline, so the next cycle re-diffs and nothing is lost."""
         sim = Simulator()
-        net, dmsd, ship = make_env(sim, period=10.0)
+        net, dmsd, ship = make_env(sim)
         dmsd.write(0, PAGE)
         net.sites["b"].fail()
-        ship.start()
-        sim.run(until=50.0)
-        assert ship.bytes_shipped == 0
+
+        def cycle():
+            yield from ship.ship_now()
+
+        with pytest.raises(NoRouteError):
+            sim.run(until=sim.process(cycle()))
+        assert ship.bytes_shipped == 0 and ship.cycles == 0
+        # The failed cycle's snapshot was released: overwriting the page
+        # frees the old copy instead of leaving it pinned.
+        dmsd.write(0, PAGE)
+        assert dmsd.allocator.live_pages() == dmsd.mapped_pages == 1
         net.sites["b"].repair()
-        sim.run(until=70.0)
+        sim.run(until=sim.process(cycle()))
         assert ship.bytes_shipped == PAGE
 
     def test_baseline_snapshots_recycled(self):
         """Old baselines are deleted: space does not grow with cycles."""
         sim = Simulator()
-        _net, dmsd, ship = make_env(sim, period=5.0)
+        _net, dmsd, ship = make_env(sim)
         dmsd.write(0, 2 * PAGE)
-        ship.start()
 
         def churn():
             for i in range(10):
-                yield sim.timeout(5.0)
+                yield from ship.ship_now()
                 dmsd.write((i % 4) * PAGE, PAGE)
 
-        sim.process(churn())
-        sim.run(until=80.0)
+        sim.run(until=sim.process(churn()))
         # Live pages: device (<=5 mapped) + one baseline snapshot refs.
         assert dmsd.allocator.live_pages() <= 2 * dmsd.mapped_pages + 2
-
-    def test_validation(self):
-        sim = Simulator()
-        net, dmsd, _ = make_env(sim)
-        with pytest.raises(ValueError):
-            SnapshotShippingReplicator(sim, dmsd, net, net.sites["a"],
-                                       net.sites["b"], period=0)

@@ -1,4 +1,4 @@
-"""Unit tests for blades, ports, paths, and switches."""
+"""Unit tests for blades, ports, and paths."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.hardware import (
     NetworkPath,
     ethernet_port,
     fc_port,
-    fc_switch,
     pci_x_bus,
 )
 from repro.sim import Simulator
@@ -138,43 +137,3 @@ class TestPortsAndPaths:
         b = fc_port(Simulator(), name="b")
         with pytest.raises(ValueError):
             NetworkPath([a, b])
-
-
-class TestFabric:
-    def test_attach_and_lookup(self):
-        sim = Simulator()
-        sw = fc_switch(sim)
-        p = sw.attach(fc_port(sim, name="p1"))
-        assert sw.port("p1") is p
-        assert sw.port_count == 1
-        with pytest.raises(ValueError):
-            sw.attach(fc_port(sim, name="p1"))
-
-    def test_path_through_backplane(self):
-        sim = Simulator()
-        sw = fc_switch(sim)
-        a = fc_port(sim, name="a")
-        b = fc_port(sim, name="b")
-        path = sw.path(a, b)
-        assert sw.backplane in path.links
-        with pytest.raises(ValueError):
-            sw.path(a, a)
-
-    def test_backplane_contention(self):
-        """An oversubscribed backplane becomes the bottleneck."""
-        from repro.hardware import Fabric
-        sim = Simulator()
-        sw = Fabric(sim, backplane_bandwidth=gbps(2), name="small")
-        done = []
-
-        def flow(i):
-            a = fc_port(sim, 2.0, name=f"src{i}")
-            b = fc_port(sim, 2.0, name=f"dst{i}")
-            yield sw.path(a, b).transfer(gbps(2) * 1.0)  # 1s alone
-            done.append(sim.now)
-
-        for i in range(2):
-            sim.process(flow(i))
-        sim.run()
-        # Two 2 Gb/s flows share a 2 Gb/s backplane: each takes ~2s.
-        assert all(t == pytest.approx(2.0, rel=0.01) for t in done)

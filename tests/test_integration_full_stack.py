@@ -4,9 +4,9 @@ import pytest
 
 from repro import NetStorageSystem, Simulator, SystemConfig
 from repro.fs import CRITICAL, SCRATCH, FilePolicy
-from repro.protocols import NasServer, ScsiTarget
-from repro.security import LunMaskingTable, MaskingViolation
-from repro.sim.units import kib, mib
+from repro.protocols import DirectHttpExport, FtpExport
+from repro.sim import FairShareLink
+from repro.sim.units import gbps, kib, mib
 
 
 def small_config(**overrides):
@@ -64,46 +64,32 @@ def test_mixed_policy_workload_with_faults_end_to_end():
 
 
 def test_protocol_heads_share_one_pool():
-    """SCSI block export and NAS file export front the same system."""
+    """HTTP and FTP exports on the blades front the same system."""
     sim = Simulator()
     system = NetStorageSystem(sim, small_config())
     system.start()
-    system.create("/nas/file")
-    system.masking.register_lun("lun0", owner="hpc")
-    system.masking.expose("wwn-hpc", "lun0")
-
-    def block_backend(lun, op, offset, nbytes):
-        # Block commands resolve through the same cache/pool path.
-        return (system.raw_write(nbytes) if op == "write"
-                else system.raw_read(nbytes))
-
-    target = ScsiTarget(sim, system.masking, block_backend)
-
-    def nas_data_path(blade, key, op):
-        if op == "write":
-            return system.cache.write(blade, key)
-        return system.cache.read(blade, key)
-
-    nas = NasServer(sim, system.pfs, nas_data_path)
+    client = FairShareLink(sim, gbps(1), name="client")
+    # Both heads fetch content through the same cache/pool path.
+    http = DirectHttpExport(sim, system.raw_read, client)
+    ftp = FtpExport(sim, system.raw_read, client)
     results = {}
 
     def clients():
-        results["scsi"] = (yield target.submit("wwn-hpc", "lun0", "write",
-                                               0, kib(128)))
-        try:
-            yield target.submit("wwn-rogue", "lun0", "read", 0, kib(4))
-        except MaskingViolation:
-            results["rogue_blocked"] = True
-        yield nas.write("/nas/file", 0, kib(128))
-        results["nas_size"] = yield nas.getattr("/nas/file")
+        yield system.raw_write(mib(4))
+        results["http"] = yield http.get(mib(2))
+        results["ftp"] = yield ftp.retr(mib(2))
 
     sim.process(clients())
     sim.run(until=30.0)
-    assert results["scsi"] == kib(128)
-    assert results["rogue_blocked"]
-    assert results["nas_size"] == kib(128)
-    assert target.commands_served == 1
-    assert target.commands_rejected == 1
+    assert results["http"] == mib(2)
+    assert results["ftp"] == mib(2)
+    # Every block both heads served was one the system's cache had staged.
+    reads = system.cache.metrics.snapshot()
+    hits = reads["read.local_hit"] + reads["read.remote_hit"]
+    assert hits == 2 * mib(2) // system.config.block_size
+    assert reads["read.miss"] == 0
+    assert http.requests_served == 1
+    assert ftp.transfers_completed == 1
 
 
 def test_same_seed_reproduces_exactly():

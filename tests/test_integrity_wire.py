@@ -1,5 +1,5 @@
-"""In-flight verification: transport digests, iSCSI header/data digests,
-WAN payload verification, and the geo tier of the repair chain."""
+"""In-flight verification: transport digests, WAN payload verification,
+and the geo tier of the repair chain."""
 
 import pytest
 
@@ -11,9 +11,7 @@ from repro.geo.site import Site
 from repro.geo.wan import WanNetwork
 from repro.integrity import IntegrityManager
 from repro.plan import SiteSpec
-from repro.protocols import IscsiPortal, ScsiTarget
 from repro.protocols.transports import FC_TRANSPORT, TransportEndpoint
-from repro.security import LunMaskingTable
 from repro.sim.units import gbps, mib
 
 
@@ -64,52 +62,6 @@ def test_arming_wire_faults_requires_integrity():
     ep = TransportEndpoint(sim, FC_TRANSPORT, wire_bandwidth=gbps(2))
     with pytest.raises(RuntimeError):
         ep.corrupt_next()
-
-
-# -- iSCSI digests ---------------------------------------------------------
-
-
-def _portal(sim, **kwargs):
-    masking = LunMaskingTable()
-    masking.register_lun("lun0")
-    masking.expose("iqn.host", "lun0")
-
-    def backend(lun, op, offset, nbytes):
-        return sim.timeout(0.001, value=nbytes)
-
-    target = ScsiTarget(sim, masking, backend)
-    return IscsiPortal(sim, target, integrity=IntegrityManager(sim),
-                       **kwargs)
-
-
-def _submit(sim, portal, session):
-    ev = portal.submit(session, "lun0", "read", 0, mib(1))
-    t0 = sim.now
-    sim.run(until=ev)
-    return sim.now - t0
-
-
-def test_iscsi_digest_miss_retransmits_response():
-    sim = Simulator()
-    portal = _portal(sim)
-    session = portal.login("iqn.host")
-    clean = _submit(sim, portal, session)
-    portal.corrupt_next()
-    damaged = _submit(sim, portal, session)
-    assert portal.retransmits == 1
-    assert damaged > clean
-    s = portal.integrity.summary()
-    assert s["detected"] == 1 and s["repaired"] == 1
-
-
-def test_iscsi_without_digests_is_silent():
-    sim = Simulator()
-    portal = _portal(sim, header_digest=False, data_digest=False)
-    session = portal.login("iqn.host")
-    portal.corrupt_next()
-    _submit(sim, portal, session)
-    assert portal.retransmits == 0
-    assert portal.integrity.summary()["silent"] == 1
 
 
 # -- WAN payload verification ----------------------------------------------

@@ -1,20 +1,15 @@
-"""Unit tests for protocol exports: streaming, SCSI, iSCSI, NAS, HTTP, FTP."""
+"""Unit tests for protocol exports: streaming, HTTP, FTP."""
 
 import pytest
 
-from repro.hardware import ControllerBlade
 from repro.protocols import (
     DirectHttpExport,
     FtpExport,
-    IscsiPortal,
-    NasServer,
-    ScsiTarget,
     ServerMediatedExport,
     figure1_configuration,
 )
-from repro.security import LunMaskingTable, MaskingViolation
 from repro.sim import FairShareLink, Simulator
-from repro.sim.units import gb, gbps, kib, mib
+from repro.sim.units import gb, gbps, mib
 
 
 def run_stream(blade_count, total=gb(2), port_rate_gb=10.0):
@@ -67,166 +62,6 @@ class TestStripedStreaming:
         agg = figure1_configuration(sim, blade_count=1)
         with pytest.raises(ValueError):
             agg.stream(0)
-
-
-class TestScsiTarget:
-    def make(self, sim):
-        masking = LunMaskingTable()
-        masking.register_lun("lun0")
-        masking.expose("host-a", "lun0")
-
-        def backend(lun, op, offset, nbytes):
-            return sim.timeout(0.001, value=nbytes)
-
-        return ScsiTarget(sim, masking, backend)
-
-    def test_authorized_command_served(self):
-        sim = Simulator()
-        target = self.make(sim)
-
-        def proc():
-            got = yield target.submit("host-a", "lun0", "read", 0, 4096)
-            return got
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.value == 4096
-        assert target.commands_served == 1
-
-    def test_masked_command_rejected(self):
-        sim = Simulator()
-        target = self.make(sim)
-        caught = []
-
-        def proc():
-            try:
-                yield target.submit("intruder", "lun0", "read", 0, 4096)
-            except MaskingViolation:
-                caught.append(True)
-
-        sim.process(proc())
-        sim.run()
-        assert caught == [True]
-        assert target.commands_rejected == 1
-
-    def test_report_luns_masked_view(self):
-        sim = Simulator()
-        target = self.make(sim)
-        assert target.report_luns("host-a") == ["lun0"]
-        assert target.report_luns("intruder") == []
-
-    def test_bad_op_rejected(self):
-        sim = Simulator()
-        target = self.make(sim)
-        with pytest.raises(ValueError):
-            target.submit("host-a", "lun0", "format", 0, 0)
-
-
-class TestIscsi:
-    def test_session_and_overhead(self):
-        sim = Simulator()
-        masking = LunMaskingTable()
-        masking.register_lun("lun0")
-        masking.expose("iqn.2002.lab:host1", "lun0")
-
-        def backend(lun, op, offset, nbytes):
-            return sim.timeout(0.0, value=nbytes)
-
-        target = ScsiTarget(sim, masking, backend, per_op_overhead=0.0)
-        portal = IscsiPortal(sim, target, network_rtt=0.001,
-                             tcp_cost_per_byte=1e-9)
-        session = portal.login("iqn.2002.lab:host1")
-
-        def proc():
-            t0 = sim.now
-            yield portal.submit(session, "lun0", "read", 0, 10**6)
-            return sim.now - t0
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.value >= 0.001 + 1e-9 * 10**6
-
-    def test_unknown_session_rejected(self):
-        sim = Simulator()
-        masking = LunMaskingTable()
-        masking.register_lun("lun0")
-        target = ScsiTarget(sim, masking,
-                            lambda *a: sim.timeout(0.0))
-        portal = IscsiPortal(sim, target)
-        caught = []
-
-        def proc():
-            try:
-                yield portal.submit("forged", "lun0", "read", 0, 10)
-            except PermissionError:
-                caught.append(True)
-
-        sim.process(proc())
-        sim.run()
-        assert caught == [True]
-
-
-def make_pfs(sim):
-    from repro.fs import ParallelFileSystem
-    from repro.virt import Allocator, StoragePool
-    alloc = Allocator([StoragePool("p", 1024 * kib(64), kib(64))])
-    return ParallelFileSystem(alloc, [0, 1], stripe_unit=kib(64))
-
-
-class TestNasServer:
-    def test_read_splits_into_rpcs(self):
-        sim = Simulator()
-        pfs = make_pfs(sim)
-        pfs.create("/f")
-        pfs.write("/f", 0, kib(128))
-        served = []
-
-        def data_path(blade, key, op):
-            served.append((blade, op))
-            return sim.timeout(0.0005)
-
-        nas = NasServer(sim, pfs, data_path, max_transfer=kib(32))
-
-        def proc():
-            yield nas.read("/f", 0, kib(128))
-
-        sim.process(proc())
-        sim.run()
-        assert len(served) == 4  # 128 KiB / 32 KiB RPCs
-        assert nas.rpc_count == 4
-
-    def test_write_advances_eof_and_invalidates_attrs(self):
-        sim = Simulator()
-        pfs = make_pfs(sim)
-        pfs.create("/f")
-        nas = NasServer(sim, pfs, lambda b, k, o: sim.timeout(0.0))
-
-        def proc():
-            size0 = yield nas.getattr("/f")
-            yield nas.write("/f", 0, kib(64))
-            size1 = yield nas.getattr("/f")
-            return (size0, size1)
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.value == (0, kib(64))
-
-    def test_attr_cache_suppresses_rpcs(self):
-        sim = Simulator()
-        pfs = make_pfs(sim)
-        pfs.create("/f")
-        nas = NasServer(sim, pfs, lambda b, k, o: sim.timeout(0.0),
-                        attr_cache_ttl=10.0)
-
-        def proc():
-            yield nas.getattr("/f")
-            before = nas.rpc_count
-            yield nas.getattr("/f")  # cached
-            return nas.rpc_count - before
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.value == 0
 
 
 class TestHttpFtp:

@@ -1,11 +1,9 @@
-"""Unit tests for authentication, LUN masking, zoning, and the audit log."""
+"""Unit tests for LUN masking, zoning, and the audit log."""
 
 import pytest
 
 from repro.security import (
     AuditLog,
-    AuthError,
-    Authenticator,
     LunMaskingTable,
     MaskingViolation,
     SecureInstallation,
@@ -13,73 +11,6 @@ from repro.security import (
     hardened_installation,
     naive_installation,
 )
-
-
-class TestAuthenticator:
-    def make(self):
-        auth = Authenticator()
-        auth.add_account("alice", "s3cret", roles={"physics"})
-        auth.grant("physics", "volume:phys-*", "read")
-        auth.grant("physics", "volume:phys-*", "write")
-        return auth
-
-    def test_good_login_and_authorize(self):
-        auth = self.make()
-        token = auth.authenticate("alice", "s3cret", now=0.0)
-        assert auth.authorize(token.value, "volume:phys-1", "read")
-        assert auth.authorize(token.value, "volume:phys-1", "write")
-
-    def test_wildcard_scoping(self):
-        auth = self.make()
-        token = auth.authenticate("alice", "s3cret")
-        assert not auth.authorize(token.value, "volume:chem-1", "read")
-
-    def test_bad_secret_rejected(self):
-        auth = self.make()
-        with pytest.raises(AuthError):
-            auth.authenticate("alice", "wrong")
-        assert auth.failed_attempts == 1
-
-    def test_unknown_account_rejected(self):
-        auth = self.make()
-        with pytest.raises(AuthError):
-            auth.authenticate("mallory", "x")
-
-    def test_disabled_account_rejected(self):
-        auth = self.make()
-        auth.disable_account("alice")
-        with pytest.raises(AuthError):
-            auth.authenticate("alice", "s3cret")
-
-    def test_token_expiry(self):
-        auth = self.make()
-        token = auth.authenticate("alice", "s3cret", now=0.0)
-        assert auth.authorize(token.value, "volume:phys-1", "read", now=100.0)
-        assert not auth.authorize(token.value, "volume:phys-1", "read",
-                                  now=4000.0)
-
-    def test_invalid_token_denied(self):
-        auth = self.make()
-        assert not auth.authorize("forged", "volume:phys-1", "read")
-
-    def test_require_raises(self):
-        auth = self.make()
-        token = auth.authenticate("alice", "s3cret")
-        auth.require(token.value, "volume:phys-1", "read")
-        with pytest.raises(AuthError):
-            auth.require(token.value, "volume:chem-1", "read")
-
-    def test_duplicate_account_rejected(self):
-        auth = self.make()
-        with pytest.raises(ValueError):
-            auth.add_account("alice", "x")
-
-    def test_decisions_audited(self):
-        auth = self.make()
-        token = auth.authenticate("alice", "s3cret")
-        auth.authorize(token.value, "volume:chem-1", "read")
-        assert len(auth.audit.denied()) == 1
-        assert auth.audit.verify_chain()
 
 
 class TestLunMasking:

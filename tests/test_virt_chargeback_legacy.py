@@ -10,7 +10,6 @@ from repro.virt import (
     DemandMappedDevice,
     LegacyArray,
     StoragePool,
-    VirtualVolume,
     absorb_legacy_array,
     evacuate_pool,
 )
@@ -39,22 +38,6 @@ class TestChargeback:
         sim.process(proc())
         sim.run()
         assert meter.gib_hours("physics") == pytest.approx(1.0, rel=0.01)
-
-    def test_thick_volume_bills_full_size(self):
-        sim = Simulator()
-        alloc = make_allocator()
-        meter = ChargebackMeter(sim)
-        vol = VirtualVolume("v", 4 * GiB, alloc, owner="chem")
-        meter.register(vol)
-
-        def proc():
-            meter.sample()
-            yield sim.timeout(3600.0)
-            meter.sample()
-
-        sim.process(proc())
-        sim.run()
-        assert meter.gib_hours("chem") == pytest.approx(4.0, rel=0.01)
 
     def test_bill_report(self):
         sim = Simulator()

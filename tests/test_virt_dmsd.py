@@ -1,4 +1,4 @@
-"""Unit + property tests for DMSDs, thick volumes, and snapshots."""
+"""Unit + property tests for DMSDs and snapshots."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +11,6 @@ from repro.virt import (
     DemandMappedDevice,
     DmsdError,
     StoragePool,
-    VirtualVolume,
-    VolumeError,
     take_snapshot,
 )
 
@@ -21,57 +19,6 @@ PAGE = 1024
 
 def make_allocator(pages=64):
     return Allocator([StoragePool("p", pages * PAGE, PAGE)])
-
-
-class TestThickVolume:
-    def test_fully_provisioned_at_creation(self):
-        alloc = make_allocator()
-        vol = VirtualVolume("v", 10 * PAGE, alloc)
-        assert vol.allocated_bytes == 10 * PAGE
-        assert alloc.used_bytes == 10 * PAGE
-        assert vol.resize_operations == 0
-
-    def test_rounds_up_to_page(self):
-        alloc = make_allocator()
-        vol = VirtualVolume("v", PAGE + 1, alloc)
-        assert vol.size_bytes == 2 * PAGE
-
-    def test_translate(self):
-        alloc = make_allocator()
-        vol = VirtualVolume("v", 4 * PAGE, alloc)
-        ref, intra = vol.translate(PAGE + 7)
-        assert intra == 7
-        with pytest.raises(VolumeError):
-            vol.translate(4 * PAGE)
-
-    def test_resize_counts_admin_ops(self):
-        alloc = make_allocator()
-        vol = VirtualVolume("v", 2 * PAGE, alloc)
-        vol.resize(6 * PAGE)
-        vol.resize(3 * PAGE)
-        assert vol.resize_operations == 2
-        assert vol.size_bytes == 3 * PAGE
-        assert alloc.used_bytes == 3 * PAGE
-
-    def test_delete_frees_everything(self):
-        alloc = make_allocator()
-        vol = VirtualVolume("v", 5 * PAGE, alloc)
-        vol.delete()
-        assert alloc.used_bytes == 0
-        with pytest.raises(VolumeError):
-            vol.translate(0)
-
-    def test_creation_fails_when_pool_too_small(self):
-        alloc = make_allocator(pages=4)
-        with pytest.raises(AllocationError):
-            VirtualVolume("v", 10 * PAGE, alloc)
-
-    def test_pages_for_range(self):
-        alloc = make_allocator()
-        vol = VirtualVolume("v", 4 * PAGE, alloc)
-        pieces = vol.pages_for_range(PAGE // 2, PAGE)
-        assert len(pieces) == 2
-        assert sum(p[2] for p in pieces) == PAGE
 
 
 class TestDmsd:
