@@ -14,8 +14,8 @@ operations with zero human tickets:
 Run:  python examples/automated_operations.py
 """
 
-from repro.core import AutoPolicyEngine, format_table, idle_demotion_rule, scratch_cleanup_rule
-from repro.fs import CRITICAL, ParallelFileSystem, ReplicationMode
+from repro.core import AutoPolicyEngine, format_table, idle_demotion_rule
+from repro.fs import CRITICAL, ParallelFileSystem
 from repro.sim import Simulator
 from repro.sim.units import GiB, days, fmt_bytes
 from repro.virt import (
@@ -43,7 +43,7 @@ pfs.namespace.mkdir("/projects")
 
 engine = AutoPolicyEngine(sim, pfs, interval=days(1))
 engine.add_rule(idle_demotion_rule(idle_seconds=days(30)))
-engine.add_rule(scratch_cleanup_rule("/scratch/", max_age=days(7)))
+engine.add_scratch_cleanup("/scratch/", max_age=days(7))
 engine.start()
 
 

@@ -58,15 +58,6 @@ class DualControllerArray:
         self.dirty.add(key)
         return "cached"
 
-    def destage(self, key: Hashable) -> Event:
-        """Flush one dirty block to disk."""
-        def run():
-            if key in self.dirty:
-                yield self.sim.timeout(self.disk_latency)
-                self.dirty.discard(key)
-
-        return self.sim.process(run(), name="ap.destage")
-
     # -- failures -----------------------------------------------------------------------
 
     def fail_controller(self, index: int) -> tuple[int, int]:

@@ -75,10 +75,6 @@ class StorageIsland:
             self.block_size, disk.capacity - self.block_size)
         return disk.read(offset, self.block_size)
 
-    @property
-    def queue_depth(self) -> int:
-        return self.controller.queue_length + self.controller.in_use
-
 
 class IslandFarm:
     """A data center of islands with *static* data placement.
@@ -104,12 +100,3 @@ class IslandFarm:
     def read(self, volume: Hashable, key: Hashable) -> Event:
         """Read through the owning island's controller — the only path."""
         return self.home_of(volume).read((volume, key))
-
-    def imbalance(self) -> float:
-        """Peak-to-mean ops ratio across islands (hot-spot indicator)."""
-        counts = [i.ops for i in self.islands]
-        total = sum(counts)
-        if total == 0:
-            return 1.0
-        mean = total / len(counts)
-        return max(counts) / mean if mean else 1.0

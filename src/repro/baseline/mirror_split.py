@@ -5,15 +5,13 @@ periodically taking a mirror offline, copying the offline mirror to a
 remote volume, updating the local mirror, and bringing it back online.
 This approach requires three to four times the data storage and leaves
 large opportunities for data loss."  The model replays that cycle and
-measures exactly those two costs: the storage multiple and the RPO (age
-of the newest complete remote copy at failure time).
+counts what it costs: the storage multiple and the whole volume shipped
+over the WAN every cycle.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
-
-from ..sim.stats import Tally
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Simulator
@@ -33,9 +31,6 @@ class MirrorSplitReplicator:
         self.volume_bytes = volume_bytes
         self.wan_bandwidth = wan_bandwidth
         self.period = period
-        #: completion time of the newest consistent remote copy (-inf: none)
-        self.last_complete_sync: float = float("-inf")
-        self.sync_durations = Tally()
         self.cycles = 0
         self.running = False
 
@@ -56,27 +51,9 @@ class MirrorSplitReplicator:
     def _cycle(self):
         while True:
             yield self.sim.timeout(self.period)
-            started = self.sim.now
             # Split the third mirror, ship it, resync it.
             yield self.sim.timeout(self.copy_time)
-            self.last_complete_sync = self.sim.now
-            self.sync_durations.record(self.sim.now - started)
             self.cycles += 1
-
-    def rpo_at(self, failure_time: float) -> float:
-        """Data-loss window if the primary site dies at ``failure_time``.
-
-        Everything written since the newest *complete* remote copy began
-        shipping is gone; before the first sync completes, the exposure is
-        the entire history.
-        """
-        if self.last_complete_sync == float("-inf"):
-            return failure_time
-        return failure_time - (self.last_complete_sync - self.copy_time)
-
-    def storage_required(self) -> int:
-        """Raw capacity consumed: 4x the protected volume."""
-        return self.STORAGE_MULTIPLE * self.volume_bytes
 
     def wan_bytes_per_period(self) -> int:
         """WAN bytes each cycle ships: the whole volume, changed or not."""

@@ -73,12 +73,3 @@ class PartitionedCacheArray:
             return 1.0
         mean = total / len(counts)
         return max(counts) / mean if mean else 1.0
-
-    def total_cache_blocks(self) -> int:
-        """Private caches do NOT pool: the hot partition only ever has
-        one controller's worth of cache, however many you buy."""
-        return sum(c.capacity for c in self.caches.values())
-
-    def effective_cache_for(self, key: Hashable) -> int:
-        """Cache bytes that can ever serve this key: one controller's worth."""
-        return self.caches[self.home_of(key).blade_id].capacity

@@ -1,6 +1,6 @@
 """The assembled NetStorage system: public entry point of the library."""
 
-from .admin import AdminAction, AutoPolicyEngine, idle_demotion_rule, scratch_cleanup_rule
+from .admin import AdminAction, AutoPolicyEngine, idle_demotion_rule
 from .config import SystemConfig
 from .report import format_latency_breakdown, format_table, print_experiment
 from .system import NetStorageSystem
@@ -14,5 +14,4 @@ __all__ = [
     "format_table",
     "idle_demotion_rule",
     "print_experiment",
-    "scratch_cleanup_rule",
 ]

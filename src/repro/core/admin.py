@@ -49,19 +49,6 @@ def idle_demotion_rule(idle_seconds: float) -> PolicyRule:
     return rule
 
 
-def scratch_cleanup_rule(prefix: str, max_age: float) -> PolicyRule:
-    """Mark aged scratch files for deletion by tagging a sentinel policy
-    (the sweeper below actually unlinks them)."""
-
-    def rule(now: float, path: str, inode: Inode) -> FilePolicy | None:
-        _ = now, inode
-        return None  # deletion handled by the sweeper, not a policy change
-
-    rule.prefix = prefix            # type: ignore[attr-defined]
-    rule.max_age = max_age          # type: ignore[attr-defined]
-    return rule
-
-
 @dataclass
 class AdminAction:
     """One automated action the policy engine took."""
@@ -82,16 +69,19 @@ class AutoPolicyEngine:
         self.pfs = pfs
         self.interval = interval
         self.rules: list[PolicyRule] = []
-        self.scratch_rules: list = []
+        #: (path prefix, max age in seconds) of each scratch area swept.
+        self.scratch_rules: list[tuple[str, float]] = []
         self.actions: list[AdminAction] = []
         self._running = False
 
     def add_rule(self, rule: PolicyRule) -> None:
-        """Install a policy rule (scratch rules are routed to the sweeper)."""
-        if hasattr(rule, "prefix"):
-            self.scratch_rules.append(rule)
-        else:
-            self.rules.append(rule)
+        """Install a policy rule."""
+        self.rules.append(rule)
+
+    def add_scratch_cleanup(self, prefix: str, max_age: float) -> None:
+        """Unlink files under ``prefix`` unmodified for more than
+        ``max_age`` seconds, at every pass."""
+        self.scratch_rules.append((prefix, max_age))
 
     def start(self) -> None:
         """Begin periodic rule evaluation for the rest of the run."""
@@ -119,10 +109,10 @@ class AutoPolicyEngine:
                         now, path, "policy",
                         f"auto-demoted to {effective.replication_mode.value}"))
                     taken += 1
-        for rule in self.scratch_rules:
+        for prefix, max_age in self.scratch_rules:
             for path, inode in self.pfs.namespace.walk_files():
-                if path.startswith(rule.prefix) \
-                        and now - inode.modified_at > rule.max_age:
+                if path.startswith(prefix) \
+                        and now - inode.modified_at > max_age:
                     self.pfs.unlink(path)
                     self.actions.append(AdminAction(
                         now, path, "delete", "scratch expired"))

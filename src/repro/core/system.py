@@ -373,18 +373,6 @@ class NetStorageSystem:
 
         return lambda: self.sim.process(run(), name="integrity.tier")
 
-    def telemetry_report(self) -> str:
-        """The management plane's status table (requires observability)."""
-        if self.obs is None:
-            raise RuntimeError("build with SystemConfig(observability=True)")
-        return self.obs.mgmt.status_report()
-
-    def trace_json(self, indent: int | None = None) -> str:
-        """The Chrome trace of everything recorded so far."""
-        if self.obs is None:
-            raise RuntimeError("build with SystemConfig(observability=True)")
-        return self.obs.tracer.to_json(indent=indent)
-
     # -- backing store hooks (cache miss / destage) -------------------------------------
 
     def _key_to_offset(self, key) -> int:

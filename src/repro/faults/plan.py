@@ -185,8 +185,3 @@ class FaultPlan(Spec):
     def by_kind(self, kind: FaultKind | str) -> list[FaultSpec]:
         kind = FaultKind(kind)
         return [s for s in self.faults if s.kind is kind]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kinds = sorted({s.kind.value for s in self.faults})
-        return (f"<FaultPlan {len(self.faults)} faults "
-                f"seed={self.seed} kinds={kinds}>")

@@ -114,12 +114,13 @@ class RecoveryTracker:
     # -- management plane ------------------------------------------------------
 
     def health(self) -> ComponentHealth:
-        return ComponentHealth(self.component, self.state, metrics={
-            "failures": float(self.failures),
-            "downtime_s": self.downtime(),
-            "availability": self.availability(),
-            "mttr_s": self.mttr(),
-        }, detail=self.state.value)
+        metrics = {"failures": float(self.failures),
+                   "downtime_s": self.downtime(),
+                   "availability": self.availability(),
+                   "mttr_s": self.mttr()}
+        # Keyed like the probe: the bare target is the target's own probe.
+        return ComponentHealth(f"{self.component}.recovery", self.state,
+                               metrics=metrics, detail=self.state.value)
 
     def register_health(self, mgmt) -> None:
         mgmt.register(f"{self.component}.recovery", self.health)

@@ -43,14 +43,6 @@ class Namespace:
             node = child
         return node
 
-    def exists(self, path: str) -> bool:
-        """True if the path resolves."""
-        try:
-            self.lookup(path)
-            return True
-        except FsError:
-            return False
-
     def parent_of(self, path: str) -> tuple[Inode, str]:
         """(parent directory inode, final component) of a path."""
         parts = split_path(path)
@@ -109,24 +101,6 @@ class Namespace:
             raise FsError(f"directory not empty: {path!r}")
         del parent.children[name]
         return node
-
-    def rename(self, src: str, dst: str) -> None:
-        """Move a node; the destination must not exist."""
-        node = self.lookup(src)
-        dst_parent, dst_name = self.parent_of(dst)
-        if dst_name in dst_parent.children:
-            raise FsError(f"destination exists: {dst!r}")
-        src_parent, src_name = self.parent_of(src)
-        del src_parent.children[src_name]
-        node.name = dst_name
-        dst_parent.children[dst_name] = node
-
-    def listdir(self, path: str) -> list[str]:
-        """Sorted child names of a directory."""
-        node = self.lookup(path)
-        if not node.is_dir:
-            raise FsError(f"not a directory: {path!r}")
-        return sorted(node.children)
 
     def walk_files(self, path: str = "/") -> list[tuple[str, Inode]]:
         """Every regular file under ``path`` as (full_path, inode)."""

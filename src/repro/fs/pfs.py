@@ -78,19 +78,7 @@ class ParallelFileSystem:
         inode.modified_at = now
         return inode
 
-    def truncate(self, path: str, new_size: int) -> None:
-        """Set EOF, unmapping pages beyond it (space returns to the pool)."""
-        inode = self.open(path)
-        assert inode.backing is not None
-        if new_size < inode.size:
-            inode.backing.unmap(new_size, inode.size - new_size)
-        inode.size = new_size
-
     # -- striping map (timing layer hooks) -------------------------------------------------
-
-    def block_count(self, inode: Inode) -> int:
-        """Stripe units covered by the file's current size."""
-        return -(-inode.size // self.stripe_unit) if inode.size else 0
 
     def block_key(self, inode: Inode, block: int) -> tuple[str, int, int]:
         """Cluster-wide cache key for one stripe unit of a file."""
@@ -116,23 +104,9 @@ class ParallelFileSystem:
         last = (offset + nbytes - 1) // self.stripe_unit
         return list(range(first, last + 1))
 
-    def layout_of(self, path: str, offset: int, nbytes: int) \
-            -> list[tuple[int, tuple[str, int, int]]]:
-        """(blade, cache key) for each stripe unit in a range — what a
-        'powerful device driver' (§2.1 footnote) uses to fan out I/O."""
-        inode = self.open(path)
-        return [(self.blade_for_block(inode, b), self.block_key(inode, b))
-                for b in self.blocks_for_range(offset, nbytes)]
-
     # -- reporting ----------------------------------------------------------------------------
 
     def total_mapped_bytes(self) -> int:
         """Physical bytes consumed by every file in the namespace."""
         return sum(inode.mapped_bytes()
                    for _path, inode in self.namespace.walk_files())
-
-    def files_with_policy(self, predicate) -> list[str]:
-        """Paths whose policy satisfies ``predicate`` (for geo-replication
-        sweeps: 'which files need sync replication to 2 sites?')."""
-        return [path for path, inode in self.namespace.walk_files()
-                if predicate(inode.policy)]

@@ -48,10 +48,6 @@ class HomeLease:
         self.epoch = epoch
         self.granted_at = granted_at
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<HomeLease {self.path} @{self.holder} "
-                f"epoch={self.epoch}>")
-
 
 class LeaseAuthority:
     """Grants, promotes, and checks per-file home leases."""

@@ -148,14 +148,6 @@ class MetadataCenter:
                              bandwidth=bandwidth, encrypted=encrypted,
                              **kwargs)
 
-    def site(self, name: str) -> Site:
-        """The Site object for a name."""
-        return self.network.sites[name]
-
-    def system(self, name: str) -> NetStorageSystem:
-        """The per-site NetStorageSystem for a name."""
-        return self.systems[name]
-
     # -- the single-image file API ---------------------------------------------------
 
     def create(self, path: str, home: str,
@@ -184,17 +176,13 @@ class MetadataCenter:
         The ack follows the file's replication policy: local-site cache
         safety for NONE/ASYNC, every replica site for SYNC.
 
-        ``epoch`` is the home epoch the writer captured (see
-        :meth:`write_epoch`); after a DR promotion a stale epoch fails
+        ``epoch`` is the home epoch the writer captured
+        (``replicator.leases.epoch(path)``); after a DR promotion a stale epoch fails
         the write with ``EpochFencingError`` before any metadata or data
         mutation — split-brain writes are rejected, never applied.
         """
         return self.sim.process(self._write(path, offset, nbytes, at, epoch),
                                 name="meta.write")
-
-    def write_epoch(self, path: str) -> int:
-        """The current home epoch a writer should present with writes."""
-        return self.replicator.leases.epoch(path)
 
     def _log_failure(self, kind: str, path: str, exc: BaseException) -> None:
         """Failures crossing this boundary go through the event log with a

@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class NoSurvivingCopyError(SimulatedFault):
-    """Every holder of a block is down: the read or pin cannot be served."""
+    """Every holder of a block is down: the read cannot be served."""
 
 
 class FileResidency:
@@ -71,7 +71,7 @@ class DistributedAccessManager:
     ready :class:`~repro.geo.selection.ReplicaSelector`; the selector
     shares this manager's :class:`~repro.geo.selection.ReplicaCatalog`,
     which carries residency, freshness, and the access history the §7.1
-    migration/eviction decisions run on.
+    migration decisions run on.
     """
 
     def __init__(self, sim: "Simulator", network: WanNetwork,
@@ -90,7 +90,7 @@ class DistributedAccessManager:
         self.files: dict[str, FileResidency] = {}
         self.local_reads = 0
         self.remote_reads = 0
-        #: Candidates skipped for having no route (reads and pins).
+        #: Candidates skipped for having no route.
         self.rerouted = 0
         self.prefetched_blocks = 0
         self._wan_cost = bind_by_site(sim, "geo.select.wan_cost_s")
@@ -130,16 +130,13 @@ class DistributedAccessManager:
         if block in local:
             yield at.store_read(self.block_size)
             self.local_reads += 1
-            self.catalog.record_read(path, at.name, local=True)
             return "local"
         source = yield from self._fetch(fr, block, at)
         yield at.store_write(self.block_size)
         local.add(block)
         self.remote_reads += 1
         wan_seconds = self.sim.now - started
-        self.catalog.record_read(path, at.name, local=False,
-                                 wan_seconds=wan_seconds,
-                                 wan_bytes=self.block_size)
+        self.catalog.record_read(path, at.name, wan_seconds)
         if self._wan_cost is not None:
             self._wan_cost[at.name].record(wan_seconds)
         # ...and prefetch the following blocks in the background (§7.1).
@@ -213,45 +210,3 @@ class DistributedAccessManager:
                 return  # a fault mid-transfer abandons the copy
 
         self.sim.process(run(), name="geo.autoreplicate")
-
-    # -- administrator / user overrides (§7.1) ----------------------------------------------
-
-    def pin_replica(self, path: str, at: Site) -> Event:
-        """Force a full local copy ('automatically derived assumptions ...
-        could be overridden by either system administrators or end users')."""
-        fr = self.files[path]
-
-        def run():
-            local = fr.resident.setdefault(at.name, set())
-            for b in range(fr.block_count):
-                if b in local:
-                    continue
-                yield from self._fetch(fr, b, at)
-                yield at.store_write(self.block_size)
-                local.add(b)
-
-        return self.sim.process(run(), name="geo.pin")
-
-    def evict_replica(self, path: str, at: Site) -> None:
-        """Drop a site's copy (capacity pressure), unless it's the last."""
-        fr = self.files[path]
-        if len([s for s, blocks in fr.resident.items() if blocks]) <= 1:
-            raise ValueError(f"refusing to evict the last copy of {path!r}")
-        fr.resident.pop(at.name, None)
-        self.catalog.note_replica_evicted(path, at.name)
-
-    def rebalance(self, path: str) -> list[str]:
-        """§7.1 access-driven eviction: drop full replicas whose access
-        share no longer earns their bytes (per the selector's read of the
-        catalog history).  The home copy and the last copy are never
-        dropped.  Returns the sites evicted."""
-        fr = self.files[path]
-        evicted: list[str] = []
-        for site in self.selector.eviction_candidates(fr):
-            if len([s for s, blocks in fr.resident.items() if blocks]) <= 1:
-                break
-            if site == fr.home:
-                continue
-            self.evict_replica(path, self.network.sites[site])
-            evicted.append(site)
-        return evicted

@@ -18,8 +18,8 @@ transfer — and this module reproduces that idea on the simulator's WAN:
   :class:`~repro.geo.migration.FileResidency`), how many bytes a replica
   is behind the home copy (read off
   :meth:`~repro.geo.replication.GeoReplicator` async backlog), and the
-  access history (local/remote reads, WAN seconds and bytes paid per
-  site) that drives §7.1 migration and eviction.
+  WAN seconds each site has paid for remote reads, which drives §7.1
+  migration.
 * Selectors — :class:`StaticSelector` (the pre-existing fibre-distance
   sort), :class:`RandomSelector` (seeded uniform choice, the A/B
   control), and :class:`CostModelSelector` (predicted transfer time from
@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from ..sim.rng import stable_hash
 from .site import Site
 from .wan import NoRouteError, WanNetwork
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..fs.policies import FilePolicy
     from .migration import DistributedAccessManager, FileResidency
     from .replication import GeoReplicator
 
@@ -146,22 +145,19 @@ class ReplicaCatalog:
       :class:`~repro.geo.migration.FileResidency` block sets — kept in
       sync by :meth:`note_copy_complete` (wired to
       ``GeoReplicator.on_copy_complete``, fixing the stale-snapshot bug
-      where replicas finished after first access stayed invisible) and
-      :meth:`note_replica_evicted`.
+      where replicas finished after first access stayed invisible).
     * **Freshness** is how many bytes a replica site is behind the home
       copy: the replicator's per-(path, target) async backlog.
-    * **Access history** is what §7.1 migration runs on: per (path,
-      site) read counts and the WAN seconds/bytes a site keeps paying
-      for remote service.
+    * **Access history** is what §7.1 migration runs on: the WAN
+      seconds a site keeps paying for remote service of a file.
     """
 
     def __init__(self, access: "DistributedAccessManager | None" = None,
                  replicator: "GeoReplicator | None" = None) -> None:
         self.access = access
         self.replicator = replicator
-        #: (path, site) -> {"reads", "remote_reads", "wan_seconds",
-        #: "wan_bytes"} — the access history.
-        self._history: dict[tuple[str, str], dict[str, float]] = {}
+        #: (path, site) -> WAN seconds paid on remote reads.
+        self._history: dict[tuple[str, str], float] = {}
 
     def bind_replicator(self, replicator: "GeoReplicator") -> None:
         """Late binding (the metacenter builds the replicator first) and
@@ -177,18 +173,6 @@ class ReplicaCatalog:
             return None
         return self.access.files.get(path)
 
-    def holders(self, path: str, block: int) -> list[str]:
-        """Site names holding one block, sorted for determinism."""
-        fr = self._residency(path)
-        return fr.holders_of(block) if fr is not None else []
-
-    def fraction_resident(self, path: str, site: str) -> float:
-        """How much of the file a site holds, in [0, 1]."""
-        fr = self._residency(path)
-        if fr is None:
-            return 0.0
-        return len(fr.resident.get(site, ())) / fr.block_count
-
     def note_copy_complete(self, path: str, site: str) -> None:
         """A replica site just caught up with the home copy: fold the
         full block set into the access manager's residency so the very
@@ -196,11 +180,6 @@ class ReplicaCatalog:
         fr = self._residency(path)
         if fr is not None:
             fr.resident[site] = set(range(fr.block_count))
-
-    def note_replica_evicted(self, path: str, site: str) -> None:
-        """A site dropped its copy: forget its access history so a later
-        re-migration decision starts from zero paid cost."""
-        self._history.pop((path, site), None)
 
     # -- freshness -------------------------------------------------------------
 
@@ -217,47 +196,25 @@ class ReplicaCatalog:
         return (self.replicator.async_backlog.get((path, site), 0)
                 + self.replicator.divergence.get((path, site), 0))
 
-    def policy_of(self, path: str) -> "FilePolicy | None":
-        """The file's replication policy (RPO behaviour), if known."""
-        if self.replicator is None:
-            return None
-        gf = self.replicator.files.get(path)
-        return gf.policy if gf is not None else None
-
     # -- access history --------------------------------------------------------
 
-    def record_read(self, path: str, site: str, local: bool,
-                    wan_seconds: float = 0.0, wan_bytes: int = 0) -> None:
-        entry = self._history.setdefault(
-            (path, site), {"reads": 0.0, "remote_reads": 0.0,
-                           "wan_seconds": 0.0, "wan_bytes": 0.0})
-        entry["reads"] += 1
-        if not local:
-            entry["remote_reads"] += 1
-            entry["wan_seconds"] += wan_seconds
-            entry["wan_bytes"] += wan_bytes
+    def record_read(self, path: str, site: str, wan_seconds: float) -> None:
+        """A remote read of ``path`` at ``site`` took ``wan_seconds``."""
+        key = (path, site)
+        self._history[key] = self._history.get(key, 0.0) + wan_seconds
 
     def wan_seconds(self, path: str, site: str) -> float:
         """Cumulative WAN time a site has paid reading this file."""
-        entry = self._history.get((path, site))
-        return entry["wan_seconds"] if entry else 0.0
-
-    def wan_bytes(self, path: str, site: str) -> float:
-        entry = self._history.get((path, site))
-        return entry["wan_bytes"] if entry else 0.0
-
-    def reads(self, path: str, site: str) -> float:
-        entry = self._history.get((path, site))
-        return entry["reads"] if entry else 0.0
+        return self._history.get((path, site), 0.0)
 
 
 class ReplicaSelector:
     """Base holder-choice policy: rank candidate sites for one block read.
 
-    Subclasses order ``candidates`` (never mutating it); the read path
-    tries them in order, falling back on :class:`~repro.geo.wan.
-    NoRouteError`, so "unreachable first choice" degrades to the next
-    candidate instead of a failed read.
+    Subclasses define ``rank``, which orders the live holders of a block.
+    The read path tries them in order, falling back on
+    :class:`~repro.geo.wan.NoRouteError`, so "unreachable first choice"
+    degrades to the next candidate instead of a failed read.
     """
 
     policy = "abstract"
@@ -266,10 +223,6 @@ class ReplicaSelector:
                  catalog: ReplicaCatalog | None = None) -> None:
         self.network = network
         self.catalog = catalog if catalog is not None else ReplicaCatalog()
-
-    def rank(self, fr: "FileResidency", block: int, at: Site,
-             nbytes: int) -> list[Site]:
-        raise NotImplementedError
 
     def _live_holders(self, fr: "FileResidency", block: int,
                       at: Site) -> list[Site]:
@@ -284,12 +237,6 @@ class ReplicaSelector:
                          threshold: int) -> bool:
         """The pre-existing §7.1 rule: hot at this site N times."""
         return fr.access_counts[at] >= threshold
-
-    def eviction_candidates(self, fr: "FileResidency",
-                            min_share: float = 0.05) -> list[str]:
-        """Replica sites the access history no longer justifies: none by
-        default (static/random policies never auto-evict)."""
-        return []
 
 
 class StaticSelector(ReplicaSelector):
@@ -388,8 +335,9 @@ class CostModelSelector(ReplicaSelector):
             return UNREACHABLE
         stale = self.catalog.staleness_bytes(fr.path, holder.name)
         if stale > 0:
-            policy = self.catalog.policy_of(fr.path)
-            if policy is not None and policy.replication_mode.value == "sync":
+            # staleness > 0 means the catalog has a replicator.
+            gf = self.catalog.replicator.files.get(fr.path)
+            if gf is not None and gf.policy.replication_mode.value == "sync":
                 return UNREACHABLE  # RPO 0: a stale copy is not the file
             predicted += stale / self.staleness_bandwidth
         load = float(self.history.outstanding.get(holder.name, 0))
@@ -408,7 +356,7 @@ class CostModelSelector(ReplicaSelector):
         # keeps "everything partitioned" failing with the true error.
         return [h for _cost, _name, h in scored]
 
-    # -- §7.1 migration / eviction from the same history ----------------------
+    # -- §7.1 migration from the same history ---------------------------------
 
     def should_replicate(self, fr: "FileResidency", at: str,
                          threshold: int) -> bool:
@@ -416,28 +364,6 @@ class CostModelSelector(ReplicaSelector):
             return True
         return (self.catalog.wan_seconds(fr.path, at)
                 >= self.migrate_after_wan_s)
-
-    def eviction_candidates(self, fr: "FileResidency",
-                            min_share: float = 0.05) -> list[str]:
-        """Full replicas whose access share no longer earns their bytes.
-
-        Share is this site's reads over all sites' reads of the file
-        (from the catalog history); the home site and partial residencies
-        are never candidates.  Sorted coldest-first, name-tied.
-        """
-        total = sum(self.catalog.reads(fr.path, site)
-                    for site in fr.resident)
-        if total <= 0:
-            return []
-        out = []
-        for site in sorted(fr.resident):
-            if site == fr.home or not fr.fully_resident_at(site):
-                continue
-            share = self.catalog.reads(fr.path, site) / total
-            if share < min_share:
-                out.append((share, site))
-        out.sort()
-        return [site for _share, site in out]
 
 
 def make_selector(policy: str, network: WanNetwork,

@@ -106,7 +106,3 @@ class Site:
         self.failed = False
         for fn in self.on_state_change:
             fn(self, False)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "DOWN" if self.failed else "up"
-        return f"<Site {self.name} {state} at {self.position}>"

@@ -200,6 +200,3 @@ class ControllerBlade:
     def fc_bandwidth(self) -> float:
         """Aggregate disk-side bandwidth of this blade's FC ports."""
         return sum(p.bandwidth for p in self.fc_ports)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ControllerBlade {self.name} {self.state.value}>"

@@ -71,25 +71,16 @@ class ScrubDaemon:
         self.sim.process(self._run(passes, idle_between_passes),
                          name=self.name)
 
-    def stop(self) -> None:
-        """Finish the in-flight chunk, then park."""
-        self.running = False
-
     def _run(self, passes: int | None, idle: float):
         pool = self.pool
         chunk = pool.chunk_size
         pace = chunk / self.rate
         obs = self.sim.obs
-        while self.running and (passes is None
-                                or self.passes_completed < passes):
+        while passes is None or self.passes_completed < passes:
             self._pass_started = self.sim.now
             for stripe in range(pool.stripe_count):
-                if not self.running:
-                    break
                 members = pool.stripe_members(stripe)
                 for member, disk_index in enumerate(members):
-                    if not self.running:
-                        break
                     if disk_index in pool.failed:
                         continue  # the rebuild, not the scrub, owns it
                     disk = pool.disks[disk_index]

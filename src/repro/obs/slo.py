@@ -27,7 +27,6 @@ monitor is only ever started when ``sim.obs`` is live.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
@@ -112,10 +111,6 @@ class SLO:
     @property
     def budget(self) -> float:
         return 1.0 - self.objective
-
-    def error_fraction(self, registry: SeriesRegistry, t0: float,
-                       t1: float) -> float | None:
-        raise NotImplementedError
 
     def burn(self, registry: SeriesRegistry, window_s: float,
              now: float) -> float | None:
@@ -225,10 +220,18 @@ class ThresholdSLO(SLO):
     series match, the worst one governs (an SLO is only as good as its
     worst tenant/site).
 
-    The slot values are those of :meth:`Series.slot_stats`, but counted
-    incrementally: each query first folds in the windows closed since the
-    previous one, then reads two prefix counts, so an evaluation costs
-    O(log n) per series plus the newly closed windows.
+    A slot's value is ``stat`` of its window, the later one when a flush
+    split the slot.  For ``sample`` series, only slots with data count.
+    For ``level`` series, an empty slot carries the ``max`` of the latest
+    window before it, inside the range or before ``t0``, so a long-lived
+    condition recorded once counts for its whole duration and a slot's
+    value does not depend on where the range starts.  Slots before the
+    oldest retained window do not count
+    (``tests/test_obs_slo_incremental.py::ref_slot_stats`` is the
+    reference).  Slots are counted incrementally: each query first folds
+    in the windows closed since the previous one, then reads two prefix
+    counts, so an evaluation costs O(log n) per series plus the newly
+    closed windows.
     """
 
     def __init__(self, name: str, objective: float, series: str,
@@ -415,11 +418,6 @@ class SLOMonitor:
             "slos": [slo.as_dict() for slo in self.slos()],
             "alerts": [a.as_dict() for a in self.alerts],
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.export_snapshot(), sort_keys=True,
-                          separators=(",", ":") if indent is None else None,
-                          indent=indent)
 
     def to_prometheus(self, prefix: str = "netstorage") -> str:
         lines = [f"# TYPE {prefix}_slo_burn_rate gauge"]

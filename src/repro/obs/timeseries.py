@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 from .telemetry import _sanitize
 
@@ -58,7 +58,6 @@ STATS = ("count", "sum", "avg", "min", "max", "p99")
 
 _start = attrgetter("start")
 _total = attrgetter("total")
-_count = attrgetter("count")
 
 
 class Window:
@@ -91,10 +90,6 @@ class Window:
         return {"start": self.start, "count": float(self.count),
                 "sum": self.total, "avg": self.avg, "min": self.min,
                 "max": self.max, "p99": self.p99}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Window t={self.start:g} n={self.count} "
-                f"sum={self.total:g} max={self.max:g}>")
 
 
 def _p99(sorted_samples: list[float]) -> float:
@@ -227,42 +222,6 @@ class Series:
     def range_sum(self, t0: float, t1: float) -> float:
         """Total of all observations in ``[t0, t1)``."""
         return sum(map(_total, self.range_windows(t0, t1)))
-
-    def range_count(self, t0: float, t1: float) -> int:
-        return sum(map(_count, self.range_windows(t0, t1)))
-
-    def slot_stats(self, t0: float, t1: float,
-                   stat: str = "max") -> Iterator[float]:
-        """Per-interval values of ``stat`` across ``[t0, t1)``.
-
-        A slot's value is ``stat`` of its window, the later one when a
-        flush split the slot.  For ``sample`` series, only slots with data
-        yield a value.  For ``level`` series, an empty slot carries the
-        ``max`` of the latest window before it, inside the range or
-        before ``t0``, so a long-lived condition recorded once is visible
-        for its whole duration and a slot's value does not depend on where
-        the range starts.  Slots before the oldest retained window yield
-        nothing.
-        """
-        first = int(t0 / self.interval)
-        last = int(t1 / self.interval)
-        self.flush()
-        ring, slots = self._ring, self._slots
-        i = bisect_left(slots, first)
-        n = len(slots)
-        level = self.kind == "level"
-        carried = ring[i - 1].max if level and i else None
-        for idx in range(first, last):
-            w = None
-            while i < n and slots[i] == idx:
-                w = ring[i]
-                i += 1
-            if w is not None:
-                if level:
-                    carried = w.max
-                yield w.stat(stat)
-            elif carried is not None:
-                yield carried
 
     def windows_since(self, seq: int) -> tuple[int, list[int], list[Window]]:
         """Windows closed at or after position ``seq``, with their slots:

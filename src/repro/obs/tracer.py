@@ -49,9 +49,6 @@ class _NullSpan:
     def event(self, name: str, **attrs: Any) -> "_NullSpan":
         return self
 
-    def close(self, error: bool = False) -> None:
-        return None
-
 
 #: Shared no-op span used whenever tracing is off.
 NULL_SPAN = _NullSpan()
@@ -116,9 +113,6 @@ class Span:
         """Span length in simulated seconds (0 while still open)."""
         return (self.end - self.begin) if self.end is not None else 0.0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Span {self.name} [{self.begin}..{self.end}]>"
-
 
 class Tracer:
     """Records finished spans and exports Chrome ``trace_event`` JSON."""
@@ -163,12 +157,6 @@ class Tracer:
             self.dropped += 1
             return
         self.instants.append((self.sim.now, name, tid, attrs))
-
-    def clear(self) -> None:
-        """Drop all recorded spans/instants (keeps the id counter)."""
-        self.spans.clear()
-        self.instants.clear()
-        self.dropped = 0
 
     # -- analysis ------------------------------------------------------------
 

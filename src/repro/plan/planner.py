@@ -405,11 +405,6 @@ class CacheBenchPlan:
     cache_blocks_per_blade: int
     interconnect_bandwidth: float
 
-    def as_dict(self) -> dict:
-        return {"spec": self.spec.as_dict(), "blades": list(self.blades),
-                "cache_blocks_per_blade": self.cache_blocks_per_blade,
-                "interconnect_bandwidth": self.interconnect_bandwidth}
-
     def build(self, sim: "Simulator", farm=None) -> "BuiltCacheBench":
         """Blades + farm feed + coherent cache cluster, in one call.
         ``farm`` overrides the planned aggregate feed (shared-farm

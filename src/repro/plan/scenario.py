@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..core.config import SystemConfig
@@ -185,6 +185,9 @@ class BuiltScenario:
             self.injector = self._attach_faults(strict_faults)
             if self.obs is not None:
                 self.injector.register_health(self.obs.mgmt)
+        if self.replicator is not None and self.obs is not None:
+            self.replicator.register_health(self.obs.mgmt)
+            self.replicator.leases.register_health(self.obs.mgmt)
         if spec.reconcile and self.kind in ("geo", "wan"):
             # Strictly event-driven: subscribes to WAN state transitions
             # and schedules nothing while the topology stays healthy, so

@@ -81,7 +81,3 @@ class LunMaskingTable:
         if not self.check(initiator, lun, op, now):
             raise MaskingViolation(
                 f"{initiator} may not {op} {lun}")
-
-    def luns(self) -> list[str]:
-        """All registered LUN names (the administrator's view)."""
-        return sorted(self._luns)

@@ -25,7 +25,7 @@ from .replications import (
     run_replications,
     summarize,
 )
-from .resources import Container, PriorityResource, Request, Resource, Store
+from .resources import PriorityResource, Request, Resource, Store
 from .rng import RngStreams, stable_hash
 from .stats import Counter, MetricSet, Tally, TimeWeighted
 
@@ -33,7 +33,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "ConditionError",
-    "Container",
     "Counter",
     "Event",
     "FAULT_EXCEPTIONS",

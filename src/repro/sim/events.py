@@ -92,12 +92,6 @@ class Event:
         else:
             self.callbacks.append(fn)
 
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.sim, [self, other])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._processed else (
             "triggered" if self.triggered else "pending")
@@ -145,7 +139,8 @@ def _condition_error(sub_exc: BaseException) -> ConditionError:
 
 
 class _Condition(Event):
-    """Shared machinery for AllOf / AnyOf."""
+    """Shared machinery for AllOf / AnyOf, which each define
+    ``_on_child``."""
 
     __slots__ = ("events", "_outstanding")
 
@@ -164,9 +159,6 @@ class _Condition(Event):
         for ev in self.events:
             self._outstanding += 1
             ev.add_callback(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        raise NotImplementedError
 
     def _collect(self) -> dict[Event, Any]:
         """The values of the children that have succeeded so far."""

@@ -113,10 +113,6 @@ class FairShareLink:
 
     # -- public API -----------------------------------------------------------
 
-    @property
-    def active_transfers(self) -> int:
-        return len(self._flow_heap)
-
     def transfer(self, nbytes: float) -> Event:
         """Start moving ``nbytes`` across the link; event fires on delivery."""
         if nbytes < 0:
@@ -230,40 +226,12 @@ class FcfsLink:
         self.name = name
         self._slot = Resource(sim, capacity=1)
         self.total_bytes = 0.0
-        self.failed = False
-        #: ``fn(link, failed)`` fired on transitions (see FairShareLink).
-        self.on_state_change: list = []
-        self.utilization = TimeWeighted(sim)
         self._bytes = bind(sim, "link.bytes", link=name)
-
-    def fail(self) -> None:
-        """Flap the link down: new transfers fail with LinkDownError."""
-        if self.failed:
-            return
-        self.failed = True
-        for fn in self.on_state_change:
-            fn(self, True)
-
-    def repair(self) -> None:
-        """Bring the link back up."""
-        if not self.failed:
-            return
-        self.failed = False
-        for fn in self.on_state_change:
-            fn(self, False)
-
-    @property
-    def active_transfers(self) -> int:
-        return self._slot.in_use + self._slot.queue_length
 
     def transfer(self, nbytes: float) -> Event:
         """Queue ``nbytes``; the returned event fires on delivery."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        if self.failed:
-            failed = Event(self.sim)
-            failed.fail(LinkDownError(f"link {self.name} is down"))
-            return failed
         if self._bytes is not None and nbytes > 0:
             self._bytes.record(nbytes)
         return self.sim.process(self._run(nbytes), name=f"{self.name}.xfer")
@@ -271,17 +239,10 @@ class FcfsLink:
     def _run(self, nbytes: float):
         req = self._slot.request()
         yield req
-        self.utilization.record(1.0)
         try:
             yield self.sim.timeout(nbytes / self.bandwidth)
             self.total_bytes += nbytes
         finally:
             self._slot.release(req)
-            if self._slot.in_use == 0:
-                self.utilization.record(0.0)
         if self.latency > 0:
             yield self.sim.timeout(self.latency)
-
-    def mean_utilization(self) -> float:
-        """Time-weighted average busy fraction since creation."""
-        return self.utilization.mean()

@@ -1,4 +1,4 @@
-"""Queueing resources: capacity-limited servers, stores, and containers.
+"""Queueing resources: capacity-limited servers and stores.
 
 These are the building blocks for modeling contention at disks, CPUs, bus
 slots, and switch ports.  All queues are FIFO (or priority-ordered for
@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import count
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from .events import Event
 
@@ -176,47 +176,3 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-
-class Container:
-    """A homogeneous quantity (e.g. free cache bytes) with blocking take.
-
-    ``put`` adds level (never blocks); ``take`` blocks until the requested
-    amount is available.  Waiters are served FIFO to avoid starvation.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf"),
-                 init: float = 0.0) -> None:
-        if init < 0 or init > capacity:
-            raise ValueError(f"init level {init} outside [0, {capacity}]")
-        self.sim = sim
-        self.capacity = capacity
-        self.level = init
-        self._takers: deque[tuple[float, Event]] = deque()
-
-    def put(self, amount: float) -> None:
-        """Add ``amount`` to the level (clamped at capacity is an error)."""
-        if amount < 0:
-            raise ValueError(f"put amount must be >= 0, got {amount}")
-        if self.level + amount > self.capacity + 1e-9:
-            raise RuntimeError(
-                f"container overflow: {self.level} + {amount} > {self.capacity}")
-        self.level += amount
-        self._drain()
-
-    def take(self, amount: float) -> Event:
-        """An event that fires once ``amount`` has been deducted."""
-        if amount < 0:
-            raise ValueError(f"take amount must be >= 0, got {amount}")
-        if amount > self.capacity:
-            raise ValueError(
-                f"take of {amount} can never succeed (capacity {self.capacity})")
-        ev = Event(self.sim)
-        self._takers.append((amount, ev))
-        self._drain()
-        return ev
-
-    def _drain(self) -> None:
-        while self._takers and self._takers[0][0] <= self.level + 1e-12:
-            amount, ev = self._takers.popleft()
-            self.level -= amount
-            ev.succeed()

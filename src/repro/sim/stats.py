@@ -59,10 +59,6 @@ class Tally:
         """Sample standard deviation."""
         return math.sqrt(self.variance())
 
-    def total(self) -> float:
-        """Sum of all recorded observations."""
-        return self._mean * self.count
-
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (0-100) of recorded samples."""
         if not self._samples:

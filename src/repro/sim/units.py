@@ -43,21 +43,6 @@ def gib(n: float) -> int:
     return int(n * GiB)
 
 
-def tib(n: float) -> int:
-    """``n`` tebibytes, in bytes."""
-    return int(n * TiB)
-
-
-def kb(n: float) -> int:
-    """``n`` decimal kilobytes, in bytes."""
-    return int(n * KB)
-
-
-def mb(n: float) -> int:
-    """``n`` decimal megabytes, in bytes."""
-    return int(n * MB)
-
-
 def gb(n: float) -> int:
     """``n`` decimal gigabytes, in bytes."""
     return int(n * GB)

@@ -11,7 +11,6 @@ allocator's reference counts.
 
 from __future__ import annotations
 
-from ..sim.units import PiB
 from .allocator import Allocator, PageRef
 
 #: 1.5 yottabytes, the paper's stated DMSD size ceiling.
@@ -96,12 +95,6 @@ class DemandMappedDevice:
         self._check_range(offset, nbytes)
         return [self._table.get(i) for i in self._page_span(offset, nbytes)]
 
-    def translate(self, offset: int) -> tuple[PageRef | None, int]:
-        """Virtual byte offset -> (physical page or None, offset within page)."""
-        self._check_range(offset, 1)
-        page_index, intra = divmod(offset, self.page_size)
-        return self._table.get(page_index), intra
-
     def unmap(self, offset: int, nbytes: int) -> int:
         """TRIM: release pages *fully* covered by the range.
 
@@ -152,9 +145,3 @@ class DemandMappedDevice:
     def _check_live(self) -> None:
         if self.deleted:
             raise DmsdError(f"DMSD {self.name!r} was deleted")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        virt = (f"{self.virtual_size / PiB:.1f} PiB"
-                if self.virtual_size >= PiB else f"{self.virtual_size} B")
-        return (f"<DMSD {self.name} virtual={virt} "
-                f"mapped={self.mapped_pages} pages>")

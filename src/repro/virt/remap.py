@@ -3,9 +3,9 @@
 "Changes in the physical location of storage blocks (to service access
 patterns, performance requirements, growth requirements, or failure
 recovery) can be accommodated by a simple update of the virtual-to-real
-mappings."  The migrator moves a DMSD's pages between pools/tiers — the
-host never notices — and powers pool evacuation (decommissioning a legacy
-array without downtime).
+mappings."  The migrator moves DMSD pages off a pool with one map update
+per page — the host never notices — which is pool evacuation
+(decommissioning a legacy array without downtime).
 
 Pages shared with snapshots (refcount > 1) are skipped rather than
 migrated: moving them would have to update every referencing table, and a
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .allocator import AllocationError, Allocator, PageRef
+from .allocator import Allocator, PageRef
 from .dmsd import DemandMappedDevice
 
 
@@ -33,52 +33,10 @@ class MigrationReport:
 
 
 class PageMigrator:
-    """Moves mapped pages between tiers with map-update semantics."""
+    """Moves mapped pages off a pool with map-update semantics."""
 
     def __init__(self, allocator: Allocator) -> None:
         self.allocator = allocator
-
-    def migrate_page(self, device: DemandMappedDevice, page_index: int,
-                     tier: str | None) -> PageRef | None:
-        """Move one page to ``tier``; returns the new ref or None if
-        skipped (unmapped, already there, shared, or out of space)."""
-        ref = device._table.get(page_index)
-        if ref is None:
-            return None
-        if tier is not None and self.allocator.pools[ref.pool].tier == tier:
-            return None
-        if self.allocator.refcount(ref) > 1:
-            return None  # shared with snapshots: leave in place
-        try:
-            fresh = self.allocator.allocate(tier)
-        except AllocationError:
-            return None
-        # The data copy happens below the map; then one atomic map update.
-        device._table[page_index] = fresh
-        self.allocator.decref(ref)
-        return fresh
-
-    def migrate_device(self, device: DemandMappedDevice,
-                       tier: str | None) -> MigrationReport:
-        """Move every eligible page of ``device`` to ``tier``."""
-        report = MigrationReport()
-        for page_index in sorted(device._table):
-            ref = device._table[page_index]
-            if self.allocator.refcount(ref) > 1:
-                report.skipped_shared += 1
-                continue
-            if tier is not None \
-                    and self.allocator.pools[ref.pool].tier == tier:
-                continue
-            fresh = self.migrate_page(device, page_index, tier)
-            if fresh is None:
-                report.skipped_no_space += 1
-                continue
-            report.moved_pages += 1
-            report.moved_bytes += device.page_size
-            report.by_target_pool[fresh.pool] = \
-                report.by_target_pool.get(fresh.pool, 0) + 1
-        return report
 
     def evacuate_pool(self, pool_name: str,
                       devices: list[DemandMappedDevice]) -> MigrationReport:

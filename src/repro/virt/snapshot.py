@@ -43,12 +43,6 @@ class Snapshot:
         last = (offset + max(nbytes, 1) - 1) // self.page_size
         return [self._table.get(i) for i in range(first, last + 1)]
 
-    def translate(self, offset: int) -> tuple[PageRef | None, int]:
-        """Offset -> (page as of snapshot time or None, intra-page offset)."""
-        self._check_range(offset, 1)
-        page_index, intra = divmod(offset, self.page_size)
-        return self._table.get(page_index), intra
-
     def delete(self) -> None:
         """Release the snapshot's page references (COW pages may free)."""
         if self.deleted:

@@ -85,19 +85,6 @@ class TestStoreAndSimMisc:
         store.put(2)
         assert len(store) == 2
 
-    def test_event_or_operator(self):
-        sim = Simulator()
-
-        def proc():
-            a = sim.timeout(1.0, value="a")
-            b = sim.timeout(2.0, value="b")
-            result = yield (a | b)
-            return list(result.values())
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.value == ["a"]
-
 
 class TestDiskSequentialAfterRepair:
     def test_repair_resets_head_position(self):
@@ -153,7 +140,8 @@ class TestWanEncryptionDefaults:
                                     disk_capacity=mib(32),
                                     cache_bytes_per_blade=mib(4)))
         center.connect("a", "b", bandwidth=gbps(2.5))
-        link = center.network.route(center.site("a"), center.site("b"))[0]
+        sites = center.network.sites
+        link = center.network.route(sites["a"], sites["b"])[0]
         assert link.encrypted
         assert link.crypto_mode == "hardware"
         assert link.bandwidth == pytest.approx(gbps(2.5))  # wire speed kept

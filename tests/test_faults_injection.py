@@ -58,7 +58,7 @@ class TestDeterminism:
         if plan is not None:
             system.attach_faults(plan)
         _run_workload(sim, system)
-        return system.trace_json()
+        return system.obs.tracer.to_json()
 
     def test_empty_plan_matches_unfaulted_run(self):
         # Binding + arming an empty campaign must be invisible: same
@@ -259,6 +259,6 @@ class TestArming:
         system.attach_faults(FaultPlan().add(15.0, FaultKind.BLADE_CRASH,
                                              "blade1", duration=30.0))
         _run_workload(sim, system, until=100.0)
-        report = system.telemetry_report()
+        report = system.obs.mgmt.status_report()
         assert "faults.injector" in report
         assert "blade1.recovery" in report

@@ -37,7 +37,7 @@ class TestNamespace:
     def test_mkdirs_intermediate(self):
         ns = Namespace()
         ns.mkdirs("/a/b/c")
-        assert ns.exists("/a/b/c")
+        assert ns.lookup("/a/b/c").is_dir
         ns.mkdirs("/a/b/c")  # idempotent
 
     def test_create_requires_parent(self):
@@ -57,7 +57,8 @@ class TestNamespace:
         ns = Namespace()
         ns.create("/f")
         ns.unlink("/f")
-        assert not ns.exists("/f")
+        with pytest.raises(FsError):
+            ns.lookup("/f")
         with pytest.raises(FsError):
             ns.unlink("/f")
 
@@ -70,24 +71,12 @@ class TestNamespace:
         ns.unlink("/d/f")
         ns.unlink("/d")
 
-    def test_rename(self):
-        ns = Namespace()
-        ns.mkdir("/a")
-        ns.mkdir("/b")
-        ns.create("/a/f")
-        ns.rename("/a/f", "/b/g")
-        assert ns.exists("/b/g")
-        assert not ns.exists("/a/f")
-        ns.create("/a/f2")
-        with pytest.raises(FsError):
-            ns.rename("/a/f2", "/b/g")  # destination exists
-
     def test_listdir_and_walk(self):
         ns = Namespace()
         ns.mkdirs("/x/y")
         ns.create("/x/f1")
         ns.create("/x/y/f2")
-        assert ns.listdir("/x") == ["f1", "y"]
+        assert sorted(ns.lookup("/x").children) == ["f1", "y"]
         files = [p for p, _ in ns.walk_files()]
         assert files == ["/x/f1", "/x/y/f2"]
 
@@ -97,7 +86,7 @@ class TestNamespace:
         with pytest.raises(FsError):
             ns.create("/f/child")
         with pytest.raises(FsError):
-            ns.listdir("/f")
+            ns.lookup("/f/child")
 
 
 class TestFilePolicy:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.fs import (
     CRITICAL,
-    FilePolicy,
     FsError,
     ParallelFileSystem,
     PolicyLimits,
@@ -45,15 +44,6 @@ class TestPfsLifecycle:
         pfs.unlink("/f")
         assert pfs.allocator.used_bytes == 0
 
-    def test_truncate_reclaims(self):
-        pfs = make_pfs()
-        pfs.create("/f")
-        pfs.write("/f", 0, 4 * PAGE)
-        pfs.truncate("/f", PAGE)
-        inode = pfs.open("/f")
-        assert inode.size == PAGE
-        assert inode.mapped_bytes() == PAGE
-
     def test_open_directory_rejected(self):
         pfs = make_pfs()
         pfs.namespace.mkdir("/d")
@@ -81,15 +71,6 @@ class TestPolicyIntegration:
         effective = pfs.set_policy("/f", CRITICAL)
         assert pfs.open("/f").policy == effective == CRITICAL
 
-    def test_files_with_policy_query(self):
-        pfs = make_pfs()
-        pfs.create("/important", policy=CRITICAL)
-        pfs.create("/scratch")
-        from repro.fs import ReplicationMode
-        sync_files = pfs.files_with_policy(
-            lambda p: p.replication_mode is ReplicationMode.SYNC)
-        assert sync_files == ["/important"]
-
 
 class TestStriping:
     def test_blocks_spread_across_blades(self):
@@ -115,15 +96,6 @@ class TestStriping:
         assert [b.blade_for_block(ib, i) for i in range(8)] == \
                [b.blade_for_block(ib, i) for i in range(8)]
 
-    def test_layout_of_range(self):
-        pfs = make_pfs(blades=(0, 1))
-        pfs.create("/f")
-        pfs.write("/f", 0, 4 * PAGE)
-        layout = pfs.layout_of("/f", PAGE // 2, 2 * PAGE)
-        assert len(layout) == 3  # spans blocks 0..2
-        keys = [key for _blade, key in layout]
-        assert len(set(keys)) == 3
-
     def test_blocks_for_range_edges(self):
         pfs = make_pfs()
         assert pfs.blocks_for_range(0, 0) == []
@@ -131,13 +103,6 @@ class TestStriping:
         assert pfs.blocks_for_range(PAGE - 1, 2) == [0, 1]
         with pytest.raises(ValueError):
             pfs.blocks_for_range(-1, 5)
-
-    def test_block_count(self):
-        pfs = make_pfs()
-        inode = pfs.create("/f")
-        assert pfs.block_count(inode) == 0
-        pfs.write("/f", 0, PAGE + 1)
-        assert pfs.block_count(inode) == 2
 
     def test_validation(self):
         alloc = Allocator([StoragePool("p", 10 * PAGE, PAGE)])

@@ -349,11 +349,11 @@ class TestMetacenterEpochs:
         sim = Simulator()
         mc = self._center(sim)
         mc.create("/proj/f", home="east", policy=ASYNC1)
-        assert mc.write_epoch("/proj/f") == 1
+        assert mc.replicator.leases.epoch("/proj/f") == 1
 
         def proc():
             yield mc.write("/proj/f", 0, mib(1),
-                           epoch=mc.write_epoch("/proj/f"))
+                           epoch=mc.replicator.leases.epoch("/proj/f"))
 
         sim.process(proc())
         sim.run(until=30.0)
@@ -366,7 +366,7 @@ class TestMetacenterEpochs:
         caught = []
 
         def proc():
-            stale = mc.write_epoch("/proj/f")
+            stale = mc.replicator.leases.epoch("/proj/f")
             yield mc.write("/proj/f", 0, mib(1), epoch=stale)
             yield sim.timeout(5.0)
             yield mc.dr.fail_site(mc.network.sites["east"])

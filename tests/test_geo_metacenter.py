@@ -71,8 +71,9 @@ def test_sync_write_ack_includes_wan():
     p = sim.process(client())
     sim.run(until=p)
     plain, synced = p.value
+    sites = center.network.sites
     assert synced > plain + center.network.rtt(
-        center.site("edmonton"), center.site("seattle")) * 0.9
+        sites["edmonton"], sites["seattle"]) * 0.9
 
 
 def test_remote_read_migrates_then_serves_locally():

@@ -349,27 +349,6 @@ class TestDistributedAccess:
         sim.run()
         assert caught == [True]
 
-    def test_evict_protects_last_copy(self):
-        sim = Simulator()
-        net, a, _b, _c = ring(sim)
-        dam = DistributedAccessManager(sim, net, block_size=mib(1))
-        dam.register("/f", mib(2), home=a)
-        with pytest.raises(ValueError):
-            dam.evict_replica("/f", a)
-
-    def test_pin_replica_copies_everything(self):
-        sim = Simulator()
-        net, a, b, _c = ring(sim)
-        dam = DistributedAccessManager(sim, net, block_size=mib(1))
-        dam.register("/f", 4 * mib(1), home=a)
-
-        def proc():
-            yield dam.pin_replica("/f", b)
-
-        sim.process(proc())
-        sim.run()
-        assert dam.files["/f"].fully_resident_at("b")
-
 
 class TestDisasterRecovery:
     def test_failover_promotes_replicas(self):

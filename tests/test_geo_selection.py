@@ -93,7 +93,7 @@ class TestFixedBugs:
             yield sim.timeout(30.0)  # let the async backlog drain
             # ...and seattle's fresh copy must serve seattle locally.
             src = yield center.access.read(
-                "/f", 0, center.site("seattle"))
+                "/f", 0, center.network.sites["seattle"])
             sources.append(src)
 
         sim.process(client())
@@ -139,7 +139,7 @@ class TestFixedBugs:
         outcome = []
 
         def client():
-            yield dam.pin_replica("/f", b)
+            dam.catalog.note_copy_complete("/f", "b")
             # Cut every fibre touching a: alive, holds the file, no route.
             net.link("a", "r").fail()
             net.link("a", "b").fail()
@@ -316,39 +316,8 @@ class TestCostModel:
         fr = dam.register("/f", mib(2), home=a)
         fr.access_counts["b"] = 1
         assert not dam.selector.should_replicate(fr, "b", 100)
-        dam.catalog.record_read("/f", "b", local=False,
-                                wan_seconds=1.0, wan_bytes=mib(1))
+        dam.catalog.record_read("/f", "b", wan_seconds=1.0)
         assert dam.selector.should_replicate(fr, "b", 100)
-
-    def test_eviction_candidates_and_rebalance(self):
-        sim = Simulator()
-        net, a, b, c = ring(sim)
-        dam = DistributedAccessManager(sim, net, block_size=mib(1),
-                                       selection="cost")
-        fr = dam.register("/f", mib(2), home=a)
-        fr.resident["b"] = set(range(fr.block_count))
-        fr.resident["c"] = set(range(fr.block_count))
-        for _ in range(40):
-            dam.catalog.record_read("/f", "a", local=True)
-            dam.catalog.record_read("/f", "b", local=True)
-        dam.catalog.record_read("/f", "c", local=True)  # share 1/81
-        assert dam.selector.eviction_candidates(fr) == ["c"]
-        assert dam.rebalance("/f") == ["c"]
-        assert "c" not in fr.resident
-        # History forgotten: a later re-migration starts from zero cost.
-        assert dam.catalog.reads("/f", "c") == 0
-
-    def test_home_never_evicted(self):
-        sim = Simulator()
-        net, a, b, _c = ring(sim)
-        dam = DistributedAccessManager(sim, net, block_size=mib(1),
-                                       selection="cost")
-        fr = dam.register("/f", mib(1), home=a)
-        fr.resident["b"] = set(range(fr.block_count))
-        for _ in range(100):
-            dam.catalog.record_read("/f", "b", local=True)
-        dam.catalog.record_read("/f", "a", local=True)  # cold *home*
-        assert dam.selector.eviction_candidates(fr) == []
 
 
 class TestSelectorFactory:

@@ -30,7 +30,7 @@ def _trace(integrity: bool, arm_empty_plan: bool = False,
 
     sim.process(client())
     sim.run(until=30.0)
-    return system.trace_json()
+    return system.obs.tracer.to_json()
 
 
 def test_integrity_off_vs_on_byte_identical():

@@ -114,7 +114,7 @@ def test_geo_tier_repairs_when_local_tiers_cannot():
                             disk_capacity=mib(64), seed=7,
                             integrity=True))
     mc.connect("east", "west")
-    east = mc.system("east")
+    east = mc.systems["east"]
     east.create("/data/f")
     sim.run(until=east.write("/data/f", 0, mib(2)))
     sim.run()

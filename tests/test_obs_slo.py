@@ -214,6 +214,15 @@ class TestSLOMonitor:
         status = mon.format_status()
         assert "blades-up" in status and "page,ticket" in status
 
+    def test_export_names_a_ratio_slos_counter_pair(self):
+        _sim, _reg, mon = make_monitor()
+        mon.add(RatioSLO("avail", 0.999, good="ops_ok", bad="ops_failed",
+                         labels={"tenant": "hpc"}, description="client I/O"))
+        assert mon.export_snapshot()["slos"] == [{
+            "name": "avail", "objective": 0.999, "kind": "RatioSLO",
+            "description": "client I/O", "good": "ops_ok",
+            "bad": "ops_failed", "labels": {"tenant": "hpc"}}]
+
 
 class TestBurnWindowCustomization:
     def test_custom_windows_only(self):

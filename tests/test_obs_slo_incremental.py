@@ -103,10 +103,6 @@ def checked(slo, queries):
             for name in (slo.good, slo.bad):
                 for s in registry.match(name, **slo.labels):
                     assert s.range_sum(t0, t1) == ref_range_sum(s, t0, t1)
-        else:
-            for s in registry.match(slo.series, **slo.labels):
-                assert (list(s.slot_stats(t0, t1, slo.stat))
-                        == list(ref_slot_stats(s, t0, t1, slo.stat)))
         return got
 
     slo.error_fraction = error_fraction

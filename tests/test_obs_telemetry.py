@@ -142,7 +142,7 @@ class TestSystemTelemetry:
 
     def test_telemetry_report_text(self):
         sim, system = _booted_system()
-        report = system.telemetry_report()
+        report = system.obs.mgmt.status_report()
         assert "system up" in report
         assert "blade0" in report
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import Series, SeriesRegistry, Window
+from repro.obs import Series, SeriesRegistry, ThresholdSLO, Window
 from repro.sim import Simulator
 
 
@@ -12,6 +12,23 @@ def make_series(interval=1.0, capacity=8, kind="sample"):
     sim = Simulator()
     s = Series(sim, "m", (), interval, capacity, kind=kind)
     return sim, s
+
+
+class _Only:
+    """A registry that matches one series, whatever the query."""
+
+    def __init__(self, series):
+        self.series = series
+
+    def match(self, name, **labels):
+        return [self.series]
+
+
+def slot_fraction(s, t0, t1, stat, bound, op="gt"):
+    """Share of ``s``'s slots in ``[t0, t1)`` whose value of ``stat`` is
+    past ``bound``, as a ThresholdSLO counts them (None: no slot)."""
+    slo = ThresholdSLO("t", 0.9, s.name, bound, stat=stat, op=op)
+    return slo.error_fraction(_Only(s), t0, t1)
 
 
 class TestWindow:
@@ -96,7 +113,6 @@ class TestSeries:
         assert s.window_at(1.5) is None        # empty slot never existed
         assert [w.start for w in s.range_windows(2.0, 4.0)] == [2.0, 3.0]
         assert s.range_sum(0.0, 4.0) == 7.0
-        assert s.range_count(2.0, 10.0) == 2
 
     def test_window_at_finds_every_bucket_of_an_inexact_interval(self):
         # 0.1 has no exact binary form: the slot of a window is its bucket
@@ -110,7 +126,8 @@ class TestSeries:
             w = s.window_at((k + 0.5) * 0.1)
             assert w is not None and w.total == float(k), k
         assert s.window_at(9.15).total == 91.0
-        assert list(s.slot_stats(9.15, 9.35, "max")) == [91.0, 92.0]
+        # Slots 91 and 92 lie in [9.15, 9.35); only 92.0 exceeds 91.5.
+        assert slot_fraction(s, 9.15, 9.35, "max", 91.5) == 0.5
 
     def test_slot_stats_sample_skips_empty_slots(self):
         sim, s = make_series()
@@ -119,7 +136,8 @@ class TestSeries:
         sim.now = 3.0
         s.record(5.0)
         sim.now = 4.0
-        assert list(s.slot_stats(0.0, 4.0, "max")) == [1.0, 5.0]
+        # Two observed slots (1.0 and 5.0), not four.
+        assert slot_fraction(s, 0.0, 4.0, "max", 2.0) == 0.5
 
     def test_slot_stats_level_carries_forward(self):
         sim, s = make_series(kind="level")
@@ -128,9 +146,10 @@ class TestSeries:
         sim.now = 6.0
         s.record(0.0)
         sim.now = 8.0
-        # Slots 1..5 carry the 2.0 level; slot 0 precedes any observation.
-        assert list(s.slot_stats(0.0, 8.0, "max")) == [
-            2.0, 2.0, 2.0, 2.0, 2.0, 0.0, 0.0]
+        # Slots 1..5 carry the 2.0 level and slots 6..7 read 0.0; slot 0
+        # precedes any observation, so seven slots count.
+        assert slot_fraction(s, 0.0, 8.0, "max", 1.0) == 5 / 7
+        assert slot_fraction(s, 0.0, 8.0, "max", 1.0, op="lt") == 2 / 7
 
     def test_slot_stats_level_uses_value_prior_to_range(self):
         # A 6-hour outage recorded only at its edges must read as "down"
@@ -141,7 +160,7 @@ class TestSeries:
         sim.now = 10.0
         s.record(1.0)          # close the first bucket into the ring
         sim.now = 12.0
-        assert list(s.slot_stats(4.0, 8.0, "max")) == [1.0] * 4
+        assert slot_fraction(s, 4.0, 8.0, "max", 0.5) == 1.0
 
     @pytest.mark.parametrize("stat", ["min", "avg", "count", "max", "p99"])
     def test_slot_stats_level_carry_does_not_depend_on_t0(self, stat):
@@ -151,8 +170,11 @@ class TestSeries:
         s.record(1.0)
         s.record(5.0)          # slot 0: min 1.0, max 5.0
         sim.now = 4.0
-        assert list(s.slot_stats(0.0, 4.0, stat))[3] == 5.0
-        assert list(s.slot_stats(3.0, 4.0, stat)) == [5.0]
+        own = {"min": 1.0, "avg": 3.0, "count": 2.0, "max": 5.0,
+               "p99": 5.0}[stat]
+        # Slots 1..3 carry 5.0 past the bound; slot 0 reads its own stat.
+        assert slot_fraction(s, 0.0, 4.0, stat, 4.5) == (3 + (own > 4.5)) / 4
+        assert slot_fraction(s, 3.0, 4.0, stat, 4.5) == 1.0
 
     def test_flush_mid_slot_splits_it_and_the_later_window_decides(self):
         sim, s = make_series()
@@ -163,7 +185,7 @@ class TestSeries:
         s.record(3.0)
         sim.now = 2.0
         assert [w.start for w in s.windows()] == [0.0, 0.0]
-        assert list(s.slot_stats(0.0, 2.0, "max")) == [3.0]
+        assert slot_fraction(s, 0.0, 2.0, "max", 2.0) == 1.0
         assert s.range_sum(0.0, 1.0) == 4.0     # both windows count
         assert s.window_at(0.7).total == 1.0    # the first one covers it
 
@@ -176,7 +198,8 @@ class TestSeries:
         assert s.window_at(0.5) is None       # the query flushes slot 2 in
         assert s.windows_dropped == 1
         assert s.range_sum(0.0, 5.0) == 3.0
-        assert list(s.slot_stats(0.0, 5.0, "max")) == [1.0, 2.0, 2.0, 2.0]
+        # Slots 1..4 read 1.0, 2.0, 2.0, 2.0; dropped slot 0 is not counted.
+        assert slot_fraction(s, 0.0, 5.0, "max", 1.5) == 3 / 4
 
     def test_label_str_formats_and_sorts(self):
         sim = Simulator()

@@ -146,7 +146,7 @@ def _traced_system_run(seed: int) -> str:
 
     sim.process(client())
     sim.run(until=30.0)
-    return system.trace_json()
+    return system.obs.tracer.to_json()
 
 
 def test_trace_determinism_same_seed_byte_identical():
@@ -168,7 +168,7 @@ def test_system_trace_spans_nest_and_cover_the_stack():
 
     sim.process(client())
     sim.run(until=30.0)
-    doc = json.loads(system.trace_json())
+    doc = json.loads(system.obs.tracer.to_json())
     names = {e["name"] for e in doc["traceEvents"]}
     # The request is followed across the layers the paper's Fig. 1 stacks.
     assert {"client.write", "client.read", "cache.write", "cache.read",

@@ -181,7 +181,7 @@ def test_same_spec_and_seed_byte_identical_traces():
         sim = Simulator()
         with plan_storage(spec).build(sim) as built:
             built.run()
-            return built.system.trace_json()
+            return built.system.obs.tracer.to_json()
 
     assert trace() == trace()
 

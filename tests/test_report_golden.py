@@ -23,8 +23,9 @@ In the geo plane every site registers its ``cluster``, ``raid.pool``,
 ``cache.pool`` and ``blade0..3`` probes as ``<site>.<part>``, so all three
 sites show, and each site's integrity manager and repair chain appear
 once each (the chain's probe carries its recovery tracker's outage
-record).  Fault-target trackers keep their ``<target>.recovery`` keys
-over a ``<target>`` component, a shape the ``wan`` digests pin.
+record).  Both shapes register the replicator (``geo.replication``) and
+the lease authority (``geo.lease``), and every fault-target tracker
+reports under its ``<target>.recovery`` key.
 
 A third, single-site run pins the labeled series registry itself: the
 sha256 of ``SeriesRegistry.to_json()`` and ``to_prometheus()`` after a
@@ -46,19 +47,19 @@ GOLDEN = {
         "kind": "wan",
         "fingerprint": "24be61fa962179620e1bf086f0b5d1ea"
                        "d938fb620873d7d6ab1c55b8303a23d5",
-        "mgmt_json": "1a78c52edd5c01dd2dc72b19acf6fc5b"
-                     "5f2eeb078f07b7070e3b226c80bbeb28",
-        "mgmt_prometheus": "5f31837c8288d808f0558cdf18085658"
-                           "c4abd172931d13132e6969884a31fce6",
+        "mgmt_json": "5fb8ca65dbbf5334a39c0b1590c3ba9f"
+                     "57a80ae930961e66e3d599f43562c375",
+        "mgmt_prometheus": "4b7b0957c50e563dbc70708396bf35ed"
+                           "71ae43cad68fbb7fcdff938661f23a6c",
     },
     "geo": {
         "kind": "geo",
         "fingerprint": "cd22b9bbd8ced72be9608ac8b487ec16"
                        "7e45432fc9bdd0dabb33e6a63c5b2eea",
-        "mgmt_json": "31c56023511d8f23a8ca5f9503d9ccf5"
-                     "378c9371721ead2e34adf1b840cce630",
-        "mgmt_prometheus": "f9529b3d53ff5d303222a2c7a8ca85e6"
-                           "0bb93c5741a557c8362089de697bddb4",
+        "mgmt_json": "16d2a374827b12a3e5cc2cf38083b471"
+                     "237ccfbcedcc25f4a26f29268b324c3a",
+        "mgmt_prometheus": "7cd42d97b77672321327b7c55ebb7a5f"
+                           "20f28ea985836709bf23ecb3bbaae642",
     },
 }
 
@@ -124,6 +125,13 @@ def test_run_reaches_every_pinned_counter(run):
 def test_fingerprint_golden(run):
     variant, _built, result, _exports = run
     assert result.fingerprint == GOLDEN[variant]["fingerprint"]
+
+
+def test_plane_names_geo_health_and_keys_match_components(run):
+    _variant, built, _result, _exports = run
+    snap = built.obs.mgmt.poll()
+    assert {"geo.replication", "geo.lease"} <= set(snap)
+    assert all(health.component == key for key, health in snap.items())
 
 
 @pytest.mark.parametrize("export", ["mgmt_json", "mgmt_prometheus"])

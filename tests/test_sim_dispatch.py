@@ -79,7 +79,7 @@ def _system_trace(drive, obs: bool, seed: int = 11) -> str:
     sim.run(until=HORIZON)
     if not obs:
         return f"{sim.now}:{sim.events_processed}"
-    return system.trace_json()
+    return system.obs.tracer.to_json()
 
 
 @pytest.mark.parametrize("obs", [True, False])

@@ -5,7 +5,6 @@ import pytest
 from repro.sim import (
     FAULT_EXCEPTIONS,
     ConditionError,
-    Event,
     Interrupt,
     SimulatedFault,
     SimulationError,
@@ -236,20 +235,6 @@ def test_any_of_race():
     p = sim.process(parent())
     sim.run()
     assert p.value == (1.0, ["fast"])
-
-
-def test_condition_operators():
-    sim = Simulator()
-
-    def parent():
-        a = sim.timeout(1.0, value="a")
-        b = sim.timeout(2.0, value="b")
-        yield a & b
-        return sim.now
-
-    p = sim.process(parent())
-    sim.run()
-    assert p.value == 2.0
 
 
 def test_all_of_empty_succeeds_immediately():

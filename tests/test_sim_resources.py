@@ -1,8 +1,8 @@
-"""Unit tests for Resource / PriorityResource / Store / Container."""
+"""Unit tests for Resource / PriorityResource / Store."""
 
 import pytest
 
-from repro.sim import Container, PriorityResource, Resource, Simulator, Store
+from repro.sim import PriorityResource, Resource, Simulator, Store
 
 
 def test_resource_grants_up_to_capacity():
@@ -54,7 +54,7 @@ def test_resource_release_unqueued_pending_request():
 
     def impatient():
         req = res.request()
-        result = yield (req | sim.timeout(1.0))
+        result = yield sim.any_of([req, sim.timeout(1.0)])
         if req not in result:
             res.release(req)  # gave up: cancel from queue
         return sim.now
@@ -198,58 +198,3 @@ def test_store_getters_fifo():
     sim.run()
     assert results == [("first", 1), ("second", 2)]
 
-
-def test_container_take_blocks_until_level():
-    sim = Simulator()
-    tank = Container(sim, capacity=100.0, init=10.0)
-
-    def taker():
-        yield tank.take(30.0)
-        return sim.now
-
-    def filler():
-        yield sim.timeout(2.0)
-        tank.put(25.0)
-
-    p = sim.process(taker())
-    sim.process(filler())
-    sim.run()
-    assert p.value == 2.0
-    assert tank.level == pytest.approx(5.0)
-
-
-def test_container_overflow_rejected():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0, init=8.0)
-    with pytest.raises(RuntimeError):
-        tank.put(5.0)
-
-
-def test_container_impossible_take_rejected():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0)
-    with pytest.raises(ValueError):
-        tank.take(20.0)
-
-
-def test_container_fifo_no_starvation():
-    """A large take queued first must not be starved by small takes."""
-    sim = Simulator()
-    tank = Container(sim, capacity=100.0, init=0.0)
-    order = []
-
-    def taker(tag, amount):
-        yield tank.take(amount)
-        order.append((tag, sim.now))
-
-    sim.process(taker("big", 50.0))
-    sim.process(taker("small", 5.0))
-
-    def filler():
-        for _ in range(6):
-            yield sim.timeout(1.0)
-            tank.put(10.0)
-
-    sim.process(filler())
-    sim.run()
-    assert order == [("big", 5.0), ("small", 6.0)]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AutoPolicyEngine, idle_demotion_rule, scratch_cleanup_rule
+from repro.core import AutoPolicyEngine, idle_demotion_rule
 from repro.fs import CRITICAL, ParallelFileSystem, ReplicationMode
 from repro.sim import Simulator
 from repro.virt import (
@@ -29,11 +29,9 @@ class TestPageMigrator:
         dmsd = DemandMappedDevice("d", 100 * PAGE, alloc, tier="fc")
         dmsd.write(0, PAGE)
         old_ref = dmsd.read(0, 1)[0]
-        migrator = PageMigrator(alloc)
-        new_ref = migrator.migrate_page(dmsd, 0, "legacy")
-        assert new_ref is not None
+        PageMigrator(alloc).evacuate_pool("fast", [dmsd])
+        new_ref = dmsd.read(0, 1)[0]
         assert new_ref.pool == "slow"
-        assert dmsd.read(0, 1)[0] == new_ref
         assert alloc.refcount(old_ref) == 0
         assert alloc.pools["fast"].used_pages == 0
 
@@ -41,9 +39,9 @@ class TestPageMigrator:
         alloc = two_tier_allocator()
         dmsd = DemandMappedDevice("d", 100 * PAGE, alloc, tier="legacy")
         migrator = PageMigrator(alloc)
-        assert migrator.migrate_page(dmsd, 5, "fc") is None  # unmapped
+        assert migrator.evacuate_pool("fast", [dmsd]).moved_pages == 0
         dmsd.write(0, PAGE)
-        assert migrator.migrate_page(dmsd, 0, "legacy") is None  # same tier
+        assert migrator.evacuate_pool("fast", [dmsd]).moved_pages == 0
 
     def test_snapshot_shared_pages_left_in_place(self):
         alloc = two_tier_allocator()
@@ -51,23 +49,13 @@ class TestPageMigrator:
         dmsd.write(0, 2 * PAGE)
         snap = take_snapshot(dmsd, "s")
         migrator = PageMigrator(alloc)
-        report = migrator.migrate_device(dmsd, "legacy")
+        report = migrator.evacuate_pool("fast", [dmsd])
         assert report.moved_pages == 0
         assert report.skipped_shared == 2
         snap.delete()
-        report = migrator.migrate_device(dmsd, "legacy")
+        report = migrator.evacuate_pool("fast", [dmsd])
         assert report.moved_pages == 2
         assert report.by_target_pool == {"slow": 2}
-
-    def test_migrate_device_moves_everything_eligible(self):
-        alloc = two_tier_allocator()
-        dmsd = DemandMappedDevice("d", 100 * PAGE, alloc, tier="fc")
-        dmsd.write(0, 6 * PAGE)
-        report = PageMigrator(alloc).migrate_device(dmsd, "legacy")
-        assert report.moved_pages == 6
-        assert report.moved_bytes == 6 * PAGE
-        assert alloc.pools["fast"].used_pages == 0
-        assert alloc.pools["slow"].used_pages == 6
 
     def test_out_of_space_reported(self):
         alloc = Allocator([
@@ -76,7 +64,7 @@ class TestPageMigrator:
         ])
         dmsd = DemandMappedDevice("d", 100 * PAGE, alloc, tier="fc")
         dmsd.write(0, 4 * PAGE)
-        report = PageMigrator(alloc).migrate_device(dmsd, "legacy")
+        report = PageMigrator(alloc).evacuate_pool("fast", [dmsd])
         assert report.moved_pages == 2
         assert report.skipped_no_space == 2
 
@@ -88,6 +76,7 @@ class TestPageMigrator:
         b.write(0, 2 * PAGE)
         report = PageMigrator(alloc).evacuate_pool("slow", [a, b])
         assert report.moved_pages == 5
+        assert report.moved_bytes == 5 * PAGE
         assert alloc.pools["slow"].used_pages == 0
         # Now the array can actually leave the aggregate.
         from repro.virt import evacuate_pool
@@ -151,11 +140,10 @@ class TestAutoPolicyEngine:
         pfs.write("/scratch/old", 0, 4 * PAGE, now=0.0)
         pfs.create("/keep", now=0.0)
         engine = AutoPolicyEngine(sim, pfs, interval=50.0)
-        engine.add_rule(scratch_cleanup_rule("/scratch/", max_age=100.0))
+        engine.add_scratch_cleanup("/scratch/", max_age=100.0)
         engine.start()
         sim.run(until=200.0)
-        assert not pfs.namespace.exists("/scratch/old")
-        assert pfs.namespace.exists("/keep")
+        assert [path for path, _ in pfs.namespace.walk_files()] == ["/keep"]
         # The freed capacity returned to the pool.
         assert pfs.allocator.used_bytes == 0
         kinds = {a.kind for a in engine.actions}

@@ -24,8 +24,11 @@ nothing calls ("never").  ``--list`` names the last two groups.
 A module is *unreached* when no reach driver calls any of its functions
 beyond what importing it calls (``raid/parity.py`` builds its GF(2^8)
 tables at import).  ``--check`` exits 1 when a module outside
-:data:`ALLOWLIST` is unreached, or when an allowlisted module is reached
-or gone (its entry is stale).
+:data:`ALLOWLIST` is unreached, when a function outside
+:data:`NEVER_ALLOWLIST` is never called, or when an entry of either
+allowlist is stale (its module is reached, its function is called, or
+it is gone).  Both pytest drivers pin ``--hypothesis-seed=0``, so the
+three sets are the same on every run.
 
 A function is an ``ast`` ``def`` (methods and nested functions included,
 lambdas and comprehensions not), keyed by its first line as the
@@ -58,6 +61,14 @@ ALLOWLIST = {
                              "proof that the corruptions the integrity "
                              "bookkeeping models are detectable "
                              "(tests/test_integrity_checksum.py)",
+}
+
+#: Functions nothing calls on purpose: (path under ``src/repro``,
+#: qualified name) -> why the function stays.
+NEVER_ALLOWLIST = {
+    ("virt/chargeback.py", "Billable.allocated_bytes"):
+        "a typing.Protocol member: the declaration a billable device "
+        "satisfies, never itself called",
 }
 
 SITECUSTOMIZE = '''\
@@ -107,7 +118,8 @@ GROUPS = ("reach", "unit", "import")
 def drivers() -> list[tuple[str, list[str]]]:
     """(group, argv) of every driver, in run order."""
     py = sys.executable
-    pytest = [py, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    pytest = [py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+              "--hypothesis-seed=0"]
     runs = [("reach", pytest + ["benchmarks", "--benchmark-disable"])]
     runs += [("reach", [py, path]) for path in
              sorted(glob.glob(os.path.join(ROOT, "examples", "*.py")))]
@@ -174,8 +186,9 @@ def probe() -> dict[str, set[tuple[str, int]]]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--check", action="store_true",
-                    help="fail when a module outside the allowlist is "
-                         "unreached, or an allowlist entry is stale")
+                    help="fail when a module outside its allowlist is "
+                         "unreached, a function outside its allowlist is "
+                         "never called, or an allowlist entry is stale")
     ap.add_argument("--list", action="store_true",
                     help="name every unit-only and never-called function")
     args = ap.parse_args()
@@ -207,6 +220,14 @@ def main() -> int:
                 f"its functions" for m in unreached if m not in ALLOWLIST]
     failures += [f"{m}: allowlisted but reached or gone, drop its entry"
                  for m in sorted(ALLOWLIST) if m not in unreached]
+    never_names = {funcs[key][:2] for key in never}
+    failures += [f"{m}: {name} is never called: delete it, or allowlist "
+                 f"it with a reason" for m, name in sorted(never_names)
+                 if (m, name) not in NEVER_ALLOWLIST]
+    failures += [f"{m}: {name} allowlisted as never called but called "
+                 f"or gone, drop its entry"
+                 for m, name in sorted(NEVER_ALLOWLIST)
+                 if (m, name) not in never_names]
     for failure in failures:
         print(f"reach: FAIL {failure}", file=sys.stderr)
     return 1 if failures else 0
